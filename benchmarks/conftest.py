@@ -1,0 +1,7 @@
+"""Lets `python -m pytest benchmarks` import cqarank from the repository's src/."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
