@@ -230,14 +230,13 @@ def discriminator_loss(items, model: MatchingModel, l2: float = 0.0,
     pos_scores, neg_scores = [], []
     cursor = 0
     for it in items:
-        hq = hierarchies[cursor]
-        cursor += 1
-        for _ in it.positives:
-            pos_scores.append(model.score_from_hierarchies(hq, hierarchies[cursor], train, rng))
-            cursor += 1
-        for _ in it.negatives:
-            neg_scores.append(model.score_from_hierarchies(hq, hierarchies[cursor], train, rng))
-            cursor += 1
+        n_pos, n_neg = len(it.positives), len(it.negatives)
+        scores = model.score_answers(hierarchies[cursor],
+                                     hierarchies[cursor + 1:cursor + 1 + n_pos + n_neg],
+                                     train, rng)
+        pos_scores.extend(scores[:n_pos])
+        neg_scores.extend(scores[n_pos:])
+        cursor += 1 + n_pos + n_neg
     d_pos = N.sigmoid(_stack_scalars(pos_scores))
     d_neg = N.sigmoid(_stack_scalars(neg_scores))
     loss = (-1.0) * N.log(N.clamp_min(d_pos, LOG_CLAMP)).mean() \
@@ -278,10 +277,9 @@ def _pool_log_probs(pairs, model: MatchingModel, rng: np.random.Generator | None
     log_probs = []
     cursor = 0
     for _, pool in pairs:
-        hq = hierarchies[cursor]
-        answers = hierarchies[cursor + 1:cursor + 1 + len(pool)]
+        scores = model.score_answers(hierarchies[cursor],
+                                     hierarchies[cursor + 1:cursor + 1 + len(pool)], train, rng)
         cursor += 1 + len(pool)
-        scores = [model.score_from_hierarchies(hq, ha, train, rng) for ha in answers]
         log_probs.append(N.log_softmax(_stack_scalars(scores), axis=0))
     return log_probs
 

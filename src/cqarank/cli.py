@@ -242,9 +242,19 @@ def _gradcheck_report(seed: int) -> list[tuple[str, float]]:
     check("concat", lambda: (T.concat([c1, c2], axis=1) * 1.5).sum(), [c1, c2])
     emb = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     check("embedding_lookup", lambda: (T.take_rows(emb, [1, 3, 3, 5])).sum(), [emb])
-    pq = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    pa = T.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-    check("pair_concat", lambda: (T.pair_concat(pq, pa) * 0.7).sum(), [pq, pa])
+
+    # the decomposed comparison of one scale pair of unequal widths, in train
+    # mode: every evaluation redraws the same dropout masks from a fresh rng
+    pair_model = MatchingModel(
+        ModelConfig(vocab_size=20, dim=4, levels=1, channels=3, h_dim=5, hidden=6,
+                    mode=ScoreMode.MULTI, dropout=0.3), np.random.default_rng(seed + 4))
+    xq = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    xa = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    xw = T.Tensor(rng.normal(size=10))
+    check("match_pair(train)",
+          lambda: (pair_model.match_pair(xq, xa, (0, 1), train=True,
+                                         rng=np.random.default_rng(seed + 5)) * xw).sum(),
+          [xq, xa] + pair_model.pair_nets[(0, 1)].parameters())
 
     cfg = ModelConfig(vocab_size=20, dim=8, levels=1, channels=6, h_dim=8, hidden=8,
                       mode=ScoreMode.MULTI, dropout=0.0)

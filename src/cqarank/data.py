@@ -169,6 +169,31 @@ def _build_corpus(records) -> Corpus:
     return corpus
 
 
+_JSON_NAMES = {str: "string", bool: "boolean", list: "array"}
+# the fields `_build_corpus` reads, with the JSON type each must have (None: any)
+_RECORD_FIELDS = {"thread_id": None, "question": str, "candidates": list}
+_CANDIDATE_FIELDS = {"answer_id": None, "text": str, "relevant": bool}
+
+
+def _check_fields(obj, what: str, types: dict, lineno: int):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} is not a JSON object", line=lineno)
+    for key, typ in types.items():
+        if key not in obj:
+            raise ParseError(f"{what} missing field {key!r}", line=lineno)
+        if typ is not None and not isinstance(obj[key], typ):
+            raise ParseError(f"{what} field {key!r} must be a JSON {_JSON_NAMES[typ]}, "
+                             f"got {obj[key]!r}", line=lineno)
+
+
+def _check_record(rec, lineno: int):
+    """ParseError unless the record's fields are present and of their JSON
+    type: bool("false") is True, so a string label would load as relevant."""
+    _check_fields(rec, "record", _RECORD_FIELDS, lineno)
+    for c in rec["candidates"]:
+        _check_fields(c, "candidate", _CANDIDATE_FIELDS, lineno)
+
+
 def load_jsonl(path) -> Corpus:
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -180,13 +205,7 @@ def load_jsonl(path) -> Corpus:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from exc
-            for key in ("thread_id", "question", "candidates"):
-                if key not in rec:
-                    raise ParseError(f"record missing field {key!r}", line=lineno)
-            for c in rec["candidates"]:
-                for key in ("answer_id", "text", "relevant"):
-                    if key not in c:
-                        raise ParseError(f"candidate missing field {key!r}", line=lineno)
+            _check_record(rec, lineno)
             records.append(rec)
     return _build_corpus(records)
 

@@ -7,11 +7,12 @@ when more than 10 relevant answers exist.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import numerics as N
 from .data import QuestionThread
-from .errors import EvaluationError
+from .errors import DivergenceError, EvaluationError
 
 CUTOFF = 10
 
@@ -30,7 +31,8 @@ class RankedList:
 
 
 def rank(thread: QuestionThread, model) -> RankedList:
-    """Score every candidate in eval mode and sort deterministically."""
+    """Score every candidate in eval mode and sort deterministically; a
+    non-finite score raises DivergenceError, since no order holds for NaN."""
     with N.no_grad():
         scores = model.score_candidates(
             thread.question_ids, [c.token_ids for c in thread.candidates]
@@ -39,6 +41,11 @@ def rank(thread: QuestionThread, model) -> RankedList:
         RankedEntry(c.answer_id, s.item(), c.relevant)
         for c, s in zip(thread.candidates, scores)
     ]
+    for e in entries:
+        if not math.isfinite(e.score):
+            raise DivergenceError(
+                f"non-finite score {e.score} for answer {e.answer_id!r} "
+                f"in thread {thread.thread_id!r}")
     entries.sort(key=lambda e: (-e.score, e.answer_id))
     return RankedList(thread.thread_id, entries)
 

@@ -65,8 +65,10 @@ class ModelConfig:
     def __post_init__(self):
         if isinstance(self.mode, str):
             self.mode = ScoreMode(self.mode)
-        if self.vocab_size < 1 or self.dim < 1 or self.levels < 0:
-            raise ConfigError("vocab_size and dim must be positive, levels non-negative")
+        if min(self.vocab_size, self.dim, self.channels, self.h_dim, self.hidden) < 1 \
+                or self.levels < 0:
+            raise ConfigError("vocab_size, dim, channels, h_dim and hidden must be positive, "
+                              "levels non-negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.dtype not in ("float32", "float64"):
@@ -233,33 +235,66 @@ class MatchingModel:
             raise ContractError("train-mode forward needs an rng for dropout")
         return rng
 
+    def question_sides(self, hq: list[Tensor]) -> dict:
+        """What a question contributes to each scale pair's comparison,
+        whatever the answer: see `_question_side`. A question scored against
+        many answers computes these once."""
+        return {(u, v): self._question_side(hq[u], (u, v)) for (u, v) in self.pairs}
+
+    def _question_side(self, xq: Tensor, pair: tuple[int, int]):
+        """(question rows projected by fc1 plus its bias, shaped (m, 1, hidden);
+        fc1's answer rows; fc2's bias repeated for both summaries)."""
+        net = self.pair_nets[pair]
+        wq, width = xq.shape[0], net.fc1.weight.shape[0]
+        projected = xq.T @ N.narrow(net.fc1.weight, 0, 0, wq) + net.fc1.bias
+        return (projected.reshape((xq.shape[1], 1, -1)),
+                N.narrow(net.fc1.weight, 0, wq, width - wq),
+                N.concat([net.fc2.bias, net.fc2.bias], axis=0))
+
     def match_pair(self, xq: Tensor, xa: Tensor, pair: tuple[int, int],
-                   train: bool = False, rng=None) -> Tensor:
+                   train: bool = False, rng=None, q_side=None) -> Tensor:
         """Compare all position pairs of two representations; returns the
-        concatenated per-sentence summaries, length 2*h_dim."""
+        concatenated per-sentence summaries, length 2*h_dim.
+
+        fc1([q_i; a_j]) = q_i W_q + a_j W_a + b1 is formed by broadcasting the
+        two projected sides over an (m, n, hidden) array, and fc2's bias is
+        added after the max-pools, since max_j(z_ij + b2) = max_j z_ij + b2,
+        so no (m*n, wq+wa) pair matrix is built. `q_side` is the pair's entry
+        of `question_sides(hq)`, computed here when not given."""
         net = self.pair_nets[pair]
         m, n = xq.shape[1], xa.shape[1]
-        rows = N.pair_concat(xq.T, xa.T)  # (m*n, wq+wa)
-        if rows.shape[1] != net.fc1.weight.shape[0]:
+        if xq.shape[0] + xa.shape[0] != net.fc1.weight.shape[0]:
             raise ConfigError(
                 f"pair {pair} expects input width {net.fc1.weight.shape[0]}, "
-                f"got {rows.shape[1]}"
+                f"got {xq.shape[0] + xa.shape[0]}"
             )
-        hidden = N.relu(net.fc1(rows))
+        q_proj, w_a, b2 = q_side if q_side is not None else self._question_side(xq, pair)
+        hidden = N.relu(q_proj + xa.T @ w_a)  # (m, n, hidden)
         hidden = N.dropout(hidden, self.config.dropout, train, self._dropout_rng(train, rng))
-        h = net.fc2(hidden)  # (m*n, h_dim)
-        cube = h.reshape((m, n, self.config.h_dim))
-        h_q = N.reduce_max(cube, axis=1).mean(axis=0)  # max over answer positions
-        h_a = N.reduce_max(cube, axis=0).mean(axis=0)  # max over question positions
-        return N.concat([h_q, h_a], axis=0)
+        z = (hidden.reshape((m * n, -1)) @ net.fc2.weight).reshape((m, n, self.config.h_dim))
+        h_q = N.reduce_max(z, axis=1).mean(axis=0)  # max over answer positions
+        h_a = N.reduce_max(z, axis=0).mean(axis=0)  # max over question positions
+        return N.concat([h_q, h_a], axis=0) + b2
 
     def score_from_hierarchies(self, hq: list[Tensor], ha: list[Tensor],
-                               train: bool = False, rng=None) -> Tensor:
-        vecs = [self.match_pair(hq[u], ha[v], (u, v), train, rng) for (u, v) in self.pairs]
+                               train: bool = False, rng=None, sides=None) -> Tensor:
+        """One answer's score; `sides` is `question_sides(hq)` when the caller has it."""
+        if sides is None:
+            sides = self.question_sides(hq)
+        vecs = [self.match_pair(hq[u], ha[v], (u, v), train, rng, sides[(u, v)])
+                for (u, v) in self.pairs]
         feats = N.concat(vecs, axis=0).reshape((1, -1))
         hidden = N.relu(self.agg1(feats))
         hidden = N.dropout(hidden, self.config.dropout, train, self._dropout_rng(train, rng))
         return self.agg2(hidden).reshape(())
+
+    def score_answers(self, hq: list[Tensor], answers, train: bool = False,
+                      rng=None) -> list[Tensor]:
+        """Score one encoded question against encoded answers, projecting the
+        question side of every scale pair once. Dropout draws keep the
+        per-answer order: one mask per comparison, then the head's."""
+        sides = self.question_sides(hq)
+        return [self.score_from_hierarchies(hq, ha, train, rng, sides) for ha in answers]
 
     def score(self, q_tokens, a_tokens, train: bool = False, rng=None) -> Tensor:
         hq, ha = self.encode_batch([q_tokens, a_tokens], train=train, rng=rng)
@@ -271,8 +306,7 @@ class MatchingModel:
         once and, in train mode, batch statistics pool over all sentences."""
         hierarchies = self.encode_batch([q_tokens] + list(candidates_tokens),
                                         train=train, rng=rng)
-        hq = hierarchies[0]
-        return [self.score_from_hierarchies(hq, ha, train, rng) for ha in hierarchies[1:]]
+        return self.score_answers(hierarchies[0], hierarchies[1:], train, rng)
 
     def discriminator_prob(self, q_tokens, a_tokens, train: bool = False, rng=None) -> Tensor:
         return N.sigmoid(self.score(q_tokens, a_tokens, train=train, rng=rng))
@@ -311,38 +345,56 @@ def save_checkpoint(path, model: MatchingModel, seed: int, vocabulary: Vocabular
 
 
 def load_checkpoint(path):
-    """Returns (model, seed, vocabulary). Round-trips save_checkpoint bit-exactly."""
+    """Returns (model, seed, vocabulary). Round-trips save_checkpoint bit-exactly.
+
+    Raises ParseError unless the header parses and lists exactly the arrays of
+    the model it configures, in order, dtype and shape, and the file ends
+    right after them."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ParseError(f"{path} is not a checkpoint file")
-        header = json.loads(fh.readline().decode("utf-8"))
-        config = ModelConfig.from_dict(header["config"])
-        loaded = {}
-        for spec in header["arrays"]:
-            dtype = np.dtype(spec["dtype"])
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * dtype.itemsize)
-            if len(buf) != count * dtype.itemsize:
-                raise ParseError(f"truncated checkpoint array {spec['name']!r}")
-            loaded[spec["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-    rng = np.random.default_rng(0)  # placeholder init, overwritten below
-    emb = loaded["embedding.matrix"] if not config.emb_trainable else None
-    model = MatchingModel(config, rng, embedding_matrix=emb)
-    targets = dict(model.named_parameters())
-    targets["embedding.matrix"] = model.embedding.matrix
-    for k, block in enumerate(model.blocks):
-        block.bn.running_mean = loaded[f"block{k}.bn.running_mean"]
-        block.bn.running_var = loaded[f"block{k}.bn.running_var"]
-    for name, arr in loaded.items():
-        if name.endswith("running_mean") or name.endswith("running_var"):
-            continue
-        if name not in targets:
-            raise ParseError(f"checkpoint array {name!r} does not match the model layout")
-        if targets[name].data.shape != arr.shape:
-            raise ParseError(f"checkpoint array {name!r} has shape {arr.shape}, "
-                             f"expected {targets[name].data.shape}")
-        targets[name].data[...] = arr
-    vocab = Vocabulary(header["vocab"])
-    return model, header["seed"], vocab
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+            config = ModelConfig.from_dict(header["config"])
+            seed, tokens, specs = header["seed"], header["vocab"], header["arrays"]
+            # the initial values are placeholders, overwritten below
+            frozen = None if config.emb_trainable else np.zeros((config.vocab_size, config.dim))
+            model = MatchingModel(config, np.random.default_rng(0), embedding_matrix=frozen)
+        except (ValueError, KeyError, TypeError, ConfigError) as exc:
+            raise ParseError(f"{path}: malformed checkpoint header ({exc})") from exc
+        if not isinstance(seed, int) or not isinstance(tokens, list) \
+                or not all(isinstance(t, str) for t in tokens) or len(set(tokens)) != len(tokens):
+            raise ParseError(f"{path}: malformed checkpoint header (seed or vocabulary)")
+        targets = model.named_arrays()
+        _check_layout(path, specs, targets)
+        for name, target in targets:
+            buf = fh.read(target.nbytes)
+            if len(buf) != target.nbytes:
+                raise ParseError(f"{path}: truncated checkpoint array {name!r}")
+            target[...] = np.frombuffer(buf, dtype=target.dtype).reshape(target.shape)
+        if fh.read(1):
+            raise ParseError(f"{path}: unexpected bytes after the last checkpoint array")
+    return model, seed, Vocabulary(tokens)
+
+
+def _check_layout(path, specs, targets):
+    """ParseError naming the first way the header's array list differs from
+    the model's arrays."""
+    expected = [{"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}
+                for name, arr in targets]
+    if specs == expected:
+        return
+    if not isinstance(specs, list) or not all(isinstance(s, dict) for s in specs):
+        raise ParseError(f"{path}: malformed checkpoint header (array list)")
+    listed = {s.get("name") for s in specs}
+    for want in expected:
+        if want["name"] not in listed:
+            raise ParseError(f"{path}: checkpoint lacks array {want['name']!r}")
+    for spec, want in zip(specs, expected):
+        if spec != want:
+            raise ParseError(f"{path}: checkpoint array {spec.get('name')!r} is "
+                             f"{spec.get('dtype')} {spec.get('shape')}, expected "
+                             f"{want['name']!r} {want['dtype']} {want['shape']}")
+    raise ParseError(f"{path}: checkpoint lists {len(specs)} arrays, the model has "
+                     f"{len(expected)}")

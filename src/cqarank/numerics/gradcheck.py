@@ -1,11 +1,14 @@
 """Central finite-difference gradient checker.
 
 The forward function is re-evaluated with elements perturbed in place, so it
-must be deterministic (no dropout, batchnorm in eval mode or a fixed batch)
-and should run at float64 for the comparison to be meaningful.
+must be deterministic (dropout off or drawn from a freshly seeded rng on every
+call, batchnorm in eval mode or a fixed batch) and should run at float64 for
+the comparison to be meaningful.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..errors import ContractError
 from .tensor import Tensor, no_grad
@@ -30,18 +33,18 @@ def gradcheck(f, tensors, h: float = 1e-5) -> float:
     for t, ana in zip(tensors, analytic):
         if ana is None:
             continue
-        flat = t.data.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        # index t.data itself: ravel() of a non-contiguous array is a copy
+        for i in np.ndindex(t.data.shape):
+            orig = t.data[i]
+            t.data[i] = orig + h
             with no_grad():
                 up = f().item()
-            flat[i] = orig - h
+            t.data[i] = orig - h
             with no_grad():
                 down = f().item()
-            flat[i] = orig
+            t.data[i] = orig
             numeric = (up - down) / (2.0 * h)
-            a = ana.ravel()[i]
+            a = ana[i]
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
             worst = max(worst, err)
     return worst

@@ -81,16 +81,23 @@ def maxpool1d(x: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: kept values scaled by 1/(1-rate); identity in eval."""
+    """Inverted dropout: kept values scaled by 1/(1-rate); identity in eval.
+
+    One `rng.random(x.shape)` draw decides which values are kept; the graph
+    holds that boolean mask and one scalar, not a float mask."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    data = x.data * mask
+    keep = rng.random(x.shape) >= rate
+    scale = 1.0 / (1.0 - rate)
+    data = x.data * keep
+    data *= scale
 
     def backward(g):
-        return (g * mask,)
+        gx = g * keep
+        gx *= scale
+        return (gx,)
 
     return _make(data, (x,), backward)
 

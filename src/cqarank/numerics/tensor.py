@@ -440,28 +440,6 @@ def take(x: Tensor, indices) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def pair_concat(q: Tensor, a: Tensor) -> Tensor:
-    """All-pairs row concatenation: (m,wq),(n,wa) -> (m*n, wq+wa).
-
-    Row i*n+j is [q_i, a_j]; used to feed every position pair through a
-    comparison network in one matmul.
-    """
-    if q.ndim != 2 or a.ndim != 2:
-        raise ShapeError(f"pair_concat expects 2-d tensors, got {q.shape} and {a.shape}")
-    m, wq = q.shape
-    n, wa = a.shape
-    if m == 0 or n == 0:
-        raise EmptyInputError("pair_concat with an empty side")
-    data = np.concatenate([np.repeat(q.data, n, axis=0), np.tile(a.data, (m, 1))], axis=1)
-
-    def backward(g):
-        gq = g[:, :wq].reshape(m, n, wq).sum(axis=1)
-        ga = g[:, wq:].reshape(m, n, wa).sum(axis=0)
-        return gq, ga
-
-    return _make(data, (q, a), backward)
-
-
 # -- reductions ---------------------------------------------------------------
 
 

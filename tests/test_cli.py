@@ -210,6 +210,17 @@ class TestEvalCommand:
                    "--checkpoint", str(tmp_path / "nope.ckpt"),
                    "--out", str(tmp_path / "eval")) == 2
 
+    def test_damaged_checkpoint_is_data_error(self, tmp_path, capsys):
+        corpus = perfect_fixture(tmp_path / "c.jsonl")
+        out = tmp_path / "run"
+        assert run("train", "--corpus", str(corpus), "--out", str(out),
+                   "--seed", "4", *TINY_TRAIN[:-2], "--epochs", "0") == 0
+        ckpt = out / "discriminator.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes() + b"x")
+        assert run("eval", "--corpus", str(corpus), "--checkpoint", str(ckpt),
+                   "--out", str(tmp_path / "eval")) == 2
+        assert "after the last checkpoint array" in capsys.readouterr().err
+
 
 class TestRankCommand:
     def test_single_candidate_single_line(self, tmp_path, capsys):
@@ -265,7 +276,7 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         for name in ("matmul", "conv1d", "batchnorm1d(train)", "relu", "sigmoid",
                      "softmax", "maxpool1d", "reduce_mean", "reduce_max", "concat",
-                     "embedding_lookup", "pair_concat", "score_multi_scale",
+                     "embedding_lookup", "match_pair(train)", "score_multi_scale",
                      "discriminator_loss", "generator_surrogate"):
             assert name in out
         assert "FAIL" not in out

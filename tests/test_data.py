@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cqarank import data
 from cqarank.errors import ConfigError, CorpusError, ParseError
@@ -70,6 +70,48 @@ class TestJsonl:
         p = tmp_path / "c.jsonl"
         write_jsonl(p, rec)
         with pytest.raises(ParseError, match="relevant"):
+            data.load_jsonl(p)
+
+    @pytest.mark.parametrize("where,key,value", [
+        ("candidate", "relevant", "false"),
+        ("candidate", "relevant", 0),
+        ("candidate", "relevant", None),
+        ("candidate", "text", None),
+        ("candidate", "text", 7),
+        ("record", "question", None),
+        ("record", "question", ["where"]),
+        ("record", "candidates", {"a1": "x"}),
+    ])
+    def test_field_of_wrong_type(self, tmp_path, where, key, value):
+        good, bad = simple_records()[0], simple_records()[0]
+        bad["thread_id"] = "t2"
+        (bad["candidates"][1] if where == "candidate" else bad)[key] = value
+        p = tmp_path / "c.jsonl"
+        write_jsonl(p, [good, bad])
+        with pytest.raises(ParseError, match=f"line 2: {where} field {key!r}"):
+            data.load_jsonl(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(["question", "candidates", "text", "relevant"]),
+           value=st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                           st.text(), st.lists(st.integers(), max_size=2),
+                           st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)))
+    def test_type_substitution_is_parse_error(self, tmp_path_factory, field, value):
+        expected = {"question": str, "candidates": list, "text": str, "relevant": bool}[field]
+        assume(not isinstance(value, expected))
+        rec = simple_records()[0]
+        (rec if field in ("question", "candidates") else rec["candidates"][0])[field] = value
+        p = tmp_path_factory.mktemp("jsonl") / "c.jsonl"
+        write_jsonl(p, [rec])
+        with pytest.raises(ParseError, match="line 1"):
+            data.load_jsonl(p)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '{"thread_id": "t", "question": "q", '
+                                      '"candidates": ["a1"]}'])
+    def test_record_or_candidate_not_an_object(self, tmp_path, line):
+        p = tmp_path / "c.jsonl"
+        p.write_text(line + "\n")
+        with pytest.raises(ParseError, match="line 1: .* not a JSON object"):
             data.load_jsonl(p)
 
     def test_malformed_line_number(self, tmp_path):

@@ -3,7 +3,8 @@ import pytest
 
 from cqarank import evaluation as E
 from cqarank.data import Candidate, QuestionThread
-from cqarank.errors import EvaluationError
+from cqarank import numerics as N
+from cqarank.errors import DivergenceError, EvaluationError
 
 from test_model import tiny_model
 
@@ -164,6 +165,17 @@ class TestRank:
         ranked = E.rank(make_thread("t3", 8, {0}, seed=4), model)
         scores = [e.score for e in ranked.entries]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
+
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_is_divergence(self, bad):
+        class FakeModel:
+            def score_candidates(self, q_tokens, candidates):
+                scores = [0.5, bad, -1.0][:len(candidates)]
+                return [N.Tensor(np.array(s)) for s in scores]
+
+        with pytest.raises(DivergenceError, match="a1"):
+            E.rank(make_thread("t4", 3, {0}), FakeModel())
 
 
 class TestPredictionFile:

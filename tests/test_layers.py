@@ -4,6 +4,7 @@ import pytest
 import cqarank.numerics as N
 from cqarank.errors import ConfigError, EmptyInputError
 
+from cqarank.numerics.tensor import _make
 from test_tensor import finite_diff, rel_err
 
 
@@ -185,6 +186,24 @@ class TestDropout:
         assert np.array_equal(x.grad, (out.data != 0) * 2.0)
 
 
+    def test_boolean_mask_matches_float_mask_formula(self):
+        # the former float-mask arithmetic, under the same single draw
+        rate = 0.3
+        x = N.Tensor(np.random.default_rng(2).normal(size=(4, 5, 6)), requires_grad=True)
+        g = np.random.default_rng(3).normal(size=x.shape)
+        out = N.dropout(x, rate, train=True, rng=np.random.default_rng(9))
+        (grad,) = out._backward(g)
+        mask = (np.random.default_rng(9).random(x.shape) >= rate) / (1.0 - rate)
+        assert np.array_equal(out.data.view(np.int64), (x.data * mask).view(np.int64))
+        assert np.array_equal(grad.view(np.int64), (g * mask).view(np.int64))
+
+
+    def test_float32_stays_float32(self):
+        x = N.Tensor(np.ones((3, 4), dtype=np.float32))
+        out = N.dropout(x, 0.2, train=True, rng=np.random.default_rng(0))
+        assert out.dtype == np.float32
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         p = N.Tensor([1.0, -2.0], requires_grad=True)
@@ -264,6 +283,19 @@ class TestGradcheckHarness:
 
         err = N.gradcheck(lambda: bad_square(x).sum(), [x])
         assert err > 1e-4
+
+
+    def test_non_contiguous_tensor_is_perturbed_in_place(self):
+        # a Fortran-order array: ravel() would perturb a copy and see no change
+        x = N.Tensor(np.asfortranarray(np.arange(6.0).reshape(2, 3)), requires_grad=True)
+        assert not x.data.flags.c_contiguous
+
+        def zero_backward(t):
+            return _make(t.data.sum(), (t,), lambda g: (np.zeros_like(t.data),))
+
+        assert N.gradcheck(lambda: zero_backward(x), [x]) == pytest.approx(1.0)
+        assert x.data.flags.f_contiguous
+        assert np.array_equal(x.data, np.arange(6.0).reshape(2, 3))
 
 
 class TestStrictMode:

@@ -1,13 +1,17 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cqarank.numerics as N
 from cqarank.data import Vocabulary
-from cqarank.errors import EmptyInputError, VocabularyError
+from cqarank.errors import ConfigError, EmptyInputError, ParseError, VocabularyError
 from cqarank.model import (
     MatchingModel,
     ModelConfig,
     ScoreMode,
+    CHECKPOINT_MAGIC,
     load_checkpoint,
     save_checkpoint,
     scale_pairs,
@@ -37,6 +41,13 @@ class TestScalePairs:
 
     def test_full_lexicographic(self):
         assert scale_pairs(ScoreMode.FULL, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field", ["vocab_size", "dim", "channels", "h_dim", "hidden"])
+    def test_sizes_must_be_positive(self, field):
+        with pytest.raises(ConfigError, match=field):
+            tiny_config(**{field: 0})
 
 
 class TestEncode:
@@ -74,7 +85,8 @@ class TestEncode:
 
 
 class TestMatchPair:
-    def brute_force(self, xq, xa, net):
+    def brute_force(self, xq, xa, net, mask=None):
+        """mask: (m*n, hidden) inverted-dropout multipliers, row i*n+j for pair (i, j)."""
         w1, b1 = net.fc1.weight.data, net.fc1.bias.data
         w2, b2 = net.fc2.weight.data, net.fc2.bias.data
         m, n = xq.shape[1], xa.shape[1]
@@ -82,8 +94,43 @@ class TestMatchPair:
         for i in range(m):
             for j in range(n):
                 inp = np.concatenate([xq[:, i], xa[:, j]])
-                h[i, j] = np.maximum(inp @ w1 + b1, 0.0) @ w2 + b2
+                hidden = np.maximum(inp @ w1 + b1, 0.0)
+                if mask is not None:
+                    hidden = hidden * mask[i * n + j]
+                h[i, j] = hidden @ w2 + b2
         return np.concatenate([h.max(axis=1).mean(axis=0), h.max(axis=0).mean(axis=0)])
+
+    def test_unequal_widths_with_shared_question_side(self):
+        # a word-to-ngram pair: dim 6 question rows, 5-channel answer rows,
+        # with the question side projected once and reused for two answers
+        model = tiny_model(seed=4)
+        for b in (model.pair_nets[(0, 1)].fc1.bias, model.pair_nets[(0, 1)].fc2.bias):
+            b.data[...] = np.random.default_rng(1).normal(size=b.shape)
+        rng = np.random.default_rng(2)
+        hq = model.encode([1, 2, 3, 4])
+        xq = hq[0]
+        side = model.question_sides(hq)[(0, 1)]
+        for n in (3, 1):
+            xa = N.Tensor(rng.normal(size=(5, n)))
+            out = model.match_pair(xq, xa, (0, 1), q_side=side)
+            expected = self.brute_force(xq.data, xa.data, model.pair_nets[(0, 1)])
+            assert np.max(np.abs(out.data - expected)) <= 1e-12
+
+    def test_train_mode_draws_one_pair_mask_in_row_order(self):
+        rate = 0.4
+        model = tiny_model(seed=3, levels=0, mode=ScoreMode.WORD, dropout=rate)
+        rng = np.random.default_rng(6)
+        xq = N.Tensor(rng.normal(size=(6, 3)))
+        xa = N.Tensor(rng.normal(size=(6, 4)))
+        out = model.match_pair(xq, xa, (0, 0), train=True, rng=np.random.default_rng(12))
+        mask = (np.random.default_rng(12).random((12, 7)) >= rate) / (1.0 - rate)
+        expected = self.brute_force(xq.data, xa.data, model.pair_nets[(0, 0)], mask)
+        assert np.max(np.abs(out.data - expected)) <= 1e-12
+
+    def test_width_mismatch_is_config_error(self):
+        model = tiny_model(seed=4)
+        with pytest.raises(ConfigError):
+            model.match_pair(N.Tensor(np.ones((6, 2))), N.Tensor(np.ones((6, 2))), (0, 1))
 
     def test_matches_direct_formula(self):
         model = tiny_model(seed=5, levels=0, mode=ScoreMode.WORD)
@@ -261,3 +308,146 @@ class TestCheckpoint:
         loaded, _, _ = load_checkpoint(p)
         assert loaded.config.dtype == "float32"
         assert loaded.score([1, 2, 3], [4, 5]).item() == score.item()
+
+    def test_layout_is_unchanged(self, tmp_path):
+        # the header of a tiny MULTI model's checkpoint: names, shapes, order
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, tiny_model(seed=25), seed=0, vocabulary=self._vocab())
+        header = json.loads(p.read_bytes()[len(CHECKPOINT_MAGIC):].split(b"\n", 1)[0])
+        listed = [(a["name"], tuple(a["shape"])) for a in header["arrays"]]
+        assert {a["dtype"] for a in header["arrays"]} == {"<f8"}
+        expected = [("embedding.matrix", (30, 6))]
+        for k, c_in in enumerate((6, 5)):
+            expected += [(f"block{k}.conv.weight", (5, c_in, 3)), (f"block{k}.conv.bias", (5,)),
+                         (f"block{k}.bn.gamma", (5,)), (f"block{k}.bn.beta", (5,))]
+        for pair, width in (("0_0", 12), ("0_1", 11), ("0_2", 11), ("1_0", 11), ("2_0", 11)):
+            expected += [(f"pair{pair}.fc1.weight", (width, 7)), (f"pair{pair}.fc1.bias", (7,)),
+                         (f"pair{pair}.fc2.weight", (7, 4)), (f"pair{pair}.fc2.bias", (4,))]
+        expected += [("agg.fc1.weight", (40, 7)), ("agg.fc1.bias", (7,)),
+                     ("agg.fc2.weight", (7, 1)), ("agg.fc2.bias", (1,))]
+        for k in range(2):
+            expected += [(f"block{k}.bn.running_mean", (5,)), (f"block{k}.bn.running_var", (5,))]
+        assert listed == expected
+
+
+def _saved(tmp_path, model=None):
+    model = model or tiny_model(seed=26)
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, model, seed=3, vocabulary=Vocabulary([f"tok{i}" for i in range(29)]))
+    return p
+
+
+def _rewrite(path, edit):
+    """Rewrite a checkpoint after edit(header, arrays), arrays being
+    [(name, bytes)] in file order."""
+    raw = path.read_bytes()[len(CHECKPOINT_MAGIC):]
+    line, body = raw.split(b"\n", 1)
+    header = json.loads(line)
+    arrays, offset = [], 0
+    for spec in header["arrays"]:
+        size = int(np.prod(spec["shape"])) * np.dtype(spec["dtype"]).itemsize
+        arrays.append((spec["name"], body[offset:offset + size]))
+        offset += size
+    edit(header, arrays)
+    header["arrays"] = [s for s in header["arrays"] if s["name"] in dict(arrays)]
+    path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header, sort_keys=True).encode()
+                     + b"\n" + b"".join(b for _, b in arrays))
+
+
+def _drop(name):
+    def edit(header, arrays):
+        arrays[:] = [(n, b) for n, b in arrays if n != name]
+    return edit
+
+
+class TestCheckpointErrors:
+    def test_unedited_rewrite_loads(self, tmp_path):
+        p = _saved(tmp_path)
+        before = p.read_bytes()
+        _rewrite(p, lambda header, arrays: None)
+        assert p.read_bytes() == before
+        load_checkpoint(p)
+
+    @pytest.mark.parametrize("name", ["pair0_1.fc1.weight", "agg.fc2.bias",
+                                      "block1.bn.running_var", "embedding.matrix"])
+    def test_missing_array(self, tmp_path, name):
+        p = _saved(tmp_path)
+        _rewrite(p, _drop(name))
+        with pytest.raises(ParseError, match=name):
+            load_checkpoint(p)
+
+    def test_extra_array(self, tmp_path):
+        p = _saved(tmp_path)
+
+        def edit(header, arrays):
+            header["arrays"].append({"name": "extra", "dtype": "<f8", "shape": [2]})
+            arrays.append(("extra", np.zeros(2).tobytes()))
+
+        _rewrite(p, edit)
+        with pytest.raises(ParseError, match="lists 38 arrays"):
+            load_checkpoint(p)
+
+    def test_reordered_arrays(self, tmp_path):
+        p = _saved(tmp_path)
+
+        def edit(header, arrays):
+            header["arrays"][1], header["arrays"][2] = header["arrays"][2], header["arrays"][1]
+            arrays[1], arrays[2] = arrays[2], arrays[1]
+
+        _rewrite(p, edit)
+        with pytest.raises(ParseError, match="block0.conv.bias"):
+            load_checkpoint(p)
+
+    def test_wrong_shape(self, tmp_path):
+        p = _saved(tmp_path)
+
+        def edit(header, arrays):
+            header["arrays"][-1]["shape"] = [4]
+            arrays[-1] = (arrays[-1][0], arrays[-1][1][:32])
+
+        _rewrite(p, edit)
+        with pytest.raises(ParseError, match="running_var"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("line", [b"{not json", b"\xff\xfe", b"[1, 2]", b"{}",
+                                      b'{"config": {"vocab_size": 30, "bogus": 1}}'])
+    def test_malformed_header(self, tmp_path, line):
+        p = tmp_path / "m.ckpt"
+        p.write_bytes(CHECKPOINT_MAGIC + line + b"\n")
+        with pytest.raises(ParseError, match="malformed checkpoint header"):
+            load_checkpoint(p)
+
+    def test_trailing_bytes(self, tmp_path):
+        p = _saved(tmp_path)
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(ParseError, match="after the last"):
+            load_checkpoint(p)
+
+    def test_truncated(self, tmp_path):
+        p = _saved(tmp_path)
+        p.write_bytes(p.read_bytes()[:-1])
+        with pytest.raises(ParseError, match="truncated"):
+            load_checkpoint(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_byte_flips_and_truncations_round_trip_or_fail(self, tmp_path_factory, data):
+        # any damaged file either raises ParseError or loads into a model
+        # that saves back to the same header values and array bytes
+        p = _saved(tmp_path_factory.mktemp("ckpt"))
+        raw = bytearray(p.read_bytes())
+        if data.draw(st.booleans()):
+            del raw[data.draw(st.integers(0, len(raw) - 1)):]
+        else:
+            raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        p.write_bytes(bytes(raw))
+        try:
+            model, seed, vocab = load_checkpoint(p)
+        except ParseError:
+            return
+        again = p.with_suffix(".again")
+        save_checkpoint(again, model, seed=seed, vocabulary=vocab)
+        header, body = bytes(raw)[len(CHECKPOINT_MAGIC):].split(b"\n", 1)
+        header_again, body_again = again.read_bytes()[len(CHECKPOINT_MAGIC):].split(b"\n", 1)
+        assert json.loads(header_again) == json.loads(header)
+        assert body_again == body

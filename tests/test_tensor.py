@@ -154,24 +154,6 @@ class TestReductionsAndShapes:
         (N.reduce_mean(x, axis=1).sum() + x.sum()).backward()
         assert rel_err(x.grad, num) <= 1e-8
 
-    def test_pair_concat_values_and_gradient(self):
-        q = N.Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
-        a = N.Tensor(np.arange(10, 16, dtype=float).reshape(3, 2), requires_grad=True)
-        out = N.pair_concat(q, a)
-        assert out.shape == (6, 5)
-        assert np.array_equal(out.data[0], [0, 1, 2, 10, 11])
-        assert np.array_equal(out.data[4], [3, 4, 5, 12, 13])
-        w = np.random.default_rng(0).normal(size=(6, 5))
-
-        def loss():
-            qa = np.concatenate([np.repeat(q.data, 3, axis=0), np.tile(a.data, (2, 1))], axis=1)
-            return float((qa * w).sum())
-
-        num_q, num_a = finite_diff(loss, [q.data, a.data])
-        (out * N.Tensor(w)).sum().backward()
-        assert rel_err(q.grad, num_q) <= 1e-8
-        assert rel_err(a.grad, num_a) <= 1e-8
-
     def test_take_accumulates_repeats(self):
         x = N.Tensor([1.0, 2.0, 3.0], requires_grad=True)
         N.take(x, [0, 0, 2]).sum().backward()
