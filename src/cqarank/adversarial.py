@@ -29,7 +29,7 @@ from . import numerics as N
 from .data import Corpus, QuestionThread
 from .errors import ConfigError, ContractError, CorpusError, DivergenceError, EvaluationError
 from .evaluation import evaluate
-from .model import MatchingModel, ModelConfig
+from .model import MatchingModel, ModelConfig, check_field_types
 from .numerics import Adam, Tensor, learning_rate
 
 LOG_CLAMP = 1e-12
@@ -76,39 +76,32 @@ class TrainConfig:
     batch_size: int = 8
     neg_samples: int = 10
     pool_size: int = 100
-    base_lr: float = 1e-4
-    lr_decay_factor: float = 5.0
+    base_lr: float = field(default=1e-4, metadata={"name": "lr"})
     lr_decay_every: int = 10
     l2: float = 1e-6
     adversarial: bool = True
-    top_s_deterministic: bool = False
-    disc_epochs_per_round: int = 1
-    gen_epochs_per_round: int = 1
     dev_split: str = "dev"
     seed: int = 0
-    debug_checks: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if not 1 <= self.neg_samples <= self.pool_size:
             raise ConfigError(
                 f"need 1 <= neg_samples <= pool_size, got {self.neg_samples}/{self.pool_size}"
             )
-        if self.base_lr <= 0 or self.lr_decay_factor <= 0 or self.lr_decay_every < 1:
+        if self.base_lr <= 0 or self.lr_decay_every < 1:
             raise ConfigError("learning-rate schedule constants out of range")
         if self.l2 < 0:
             raise ConfigError("l2 coefficient must be non-negative")
-        if self.disc_epochs_per_round < 1 or self.gen_epochs_per_round < 1:
-            raise ConfigError("alternation counts must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
     def phase(self, epoch: int) -> str:
-        if not self.adversarial:
-            return "disc"
-        cycle = self.disc_epochs_per_round + self.gen_epochs_per_round
-        return "disc" if (epoch % cycle) < self.disc_epochs_per_round else "gen"
+        """Disc and gen epochs alternate one to one; without the adversarial
+        generator every epoch trains the discriminator."""
+        return "gen" if self.adversarial and epoch % 2 else "disc"
 
 
 @dataclass
@@ -172,17 +165,12 @@ def generator_distribution(q_tokens, pool: CandidatePool, generator: MatchingMod
     return e / e.sum()
 
 
-def sample_negatives(distribution, s: int, rng: np.random.Generator,
-                     deterministic: bool = False) -> list[int]:
-    """s distinct pool indices: sequential draws with renormalization, or the
-    deterministic top-s when requested."""
+def sample_negatives(distribution, s: int, rng: np.random.Generator) -> list[int]:
+    """s distinct pool indices: sequential draws with renormalization."""
     probs = np.asarray(distribution, dtype=float)
     n = probs.size
     if s > n:
         raise ContractError(f"cannot sample {s} negatives from a pool of {n}")
-    if deterministic:
-        order = np.lexsort((np.arange(n), -probs))
-        return [int(i) for i in order[:s]]
     chosen = []
     available = np.ones(n, dtype=bool)
     for _ in range(s):
@@ -372,7 +360,7 @@ def train(corpus: Corpus, model_config: ModelConfig, config: TrainConfig,
     metrics: list[dict] = []
 
     for epoch in range(config.epochs):
-        lr = learning_rate(epoch, config.base_lr, config.lr_decay_factor, config.lr_decay_every)
+        lr = learning_rate(epoch, config.base_lr, config.lr_decay_every)
         opt_d.lr = lr
         opt_g.lr = lr
         phase = config.phase(epoch)
@@ -381,8 +369,6 @@ def train(corpus: Corpus, model_config: ModelConfig, config: TrainConfig,
             t.thread_id: build_pool(t, train_threads, config.pool_size, rng)
             for t in train_threads
         }
-        if config.debug_checks:
-            _check_pools(pools, train_threads)
         order = rng.permutation(len(train_threads))
         losses: list[float] = []
         rewards_seen: list[float] = []
@@ -401,8 +387,7 @@ def train(corpus: Corpus, model_config: ModelConfig, config: TrainConfig,
                 ) from exc
             if loss is not None:
                 losses.append(loss)
-        if config.debug_checks:
-            _check_finite_params(discriminator, generator, epoch)
+        _check_finite_params(discriminator, generator, epoch)
         dev_map = dev_mrr = None
         if dev_threads:
             try:
@@ -431,7 +416,7 @@ def _select_negatives(thread, pool, generator, config, rng):
     take = min(config.neg_samples, len(pool))
     if config.adversarial:
         probs = generator_distribution(thread.question_ids, pool, generator)
-        return sample_negatives(probs, take, rng, config.top_s_deterministic)
+        return sample_negatives(probs, take, rng)
     return [int(i) for i in rng.choice(len(pool), size=take, replace=False)]
 
 
@@ -457,8 +442,7 @@ def _gen_batch(batch, pools, discriminator, generator, opt_g, baseline, config, 
     log_probs = _pool_log_probs(pairs, generator, rng, train=True)
     items = []
     for (q_tokens, pool), log_p in zip(pairs, log_probs):
-        picked = sample_negatives(np.exp(log_p.data), min(config.neg_samples, len(pool)), rng,
-                                  config.top_s_deterministic)
+        picked = sample_negatives(np.exp(log_p.data), min(config.neg_samples, len(pool)), rng)
         rewards = negative_rewards(
             discriminator, q_tokens, [pool.answers[i].token_ids for i in picked]
         )
@@ -466,18 +450,6 @@ def _gen_batch(batch, pools, discriminator, generator, opt_g, baseline, config, 
         items.append(GenItem(q_tokens, pool, picked, rewards))
     return _descend(_reinforce_surrogate(log_probs, items, baseline), opt_g,
                     "generator surrogate")
-
-
-def _check_pools(pools, threads):
-    positives = {
-        t.thread_id: {c.answer_id for c in t.positives} for t in threads
-    }
-    for tid, pool in pools.items():
-        for ans in pool.answers:
-            if ans.thread_id == tid and ans.answer_id in positives[tid]:
-                raise ContractError(
-                    f"pool for {tid!r} contains its own positive {ans.answer_id!r}"
-                )
 
 
 def _check_finite_params(discriminator, generator, epoch):

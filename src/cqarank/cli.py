@@ -9,9 +9,11 @@ error, 3 numerical divergence (including a failed gradient check).
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import sys
-from dataclasses import dataclass, asdict, fields
+import typing
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,71 +30,67 @@ from .errors import (
     EvaluationError,
     VocabularyError,
 )
-from .model import MatchingModel, ModelConfig, ScoreMode, load_checkpoint, save_checkpoint
+from .model import (MatchingModel, ModelConfig, ScoreMode, load_checkpoint, public_name,
+                    save_checkpoint)
 from .numerics import gradcheck, layers as L, tensor as T
 
 GRADCHECK_TOLERANCE = 1e-4
 
 
-@dataclass
-class RunConfig:
-    """Everything a training run needs; archived next to its outputs."""
+# `cqarank train` settings that name files, with their defaults. Every other
+# setting is a ModelConfig or TrainConfig field.
+PATHS = {"corpus": None, "out": "run", "embeddings": None}
+# ModelConfig fields worked out from the corpus and --embeddings
+DERIVED = ("vocab_size", "emb_trainable")
 
-    corpus: str = ""
-    out: str = "run"
-    embeddings: str | None = None
-    mode: str = "multi"
-    adversarial: bool = True
-    seed: int = 0
-    epochs: int = 30
-    batch_size: int = 8
-    pool_size: int = 100
-    neg_samples: int = 10
-    lr: float = 1e-4
-    l2: float = 1e-6
-    dropout: float = 0.2
-    dim: int = 64
-    levels: int = 2
-    channels: int = 128
-    h_dim: int = 128
-    hidden: int = 128
-    dev_split: str = "dev"
 
-    @classmethod
-    def resolve(cls, args) -> "RunConfig":
-        """File values first, explicit command-line flags override."""
-        values = {}
-        if getattr(args, "config", None):
+def _config_fields():
+    """(config class, field, declared type) of every settable config field."""
+    found = []
+    for cls in (ModelConfig, adv.TrainConfig):
+        hints = typing.get_type_hints(cls)
+        found += [(cls, f, hints[f.name]) for f in fields(cls) if f.name not in DERIVED]
+    return found
+
+
+def resolve_train_settings(args) -> dict:
+    """Every `cqarank train` setting by its flag name with _ for -: the
+    default, overridden by the --config file, overridden by explicit flags.
+    The paths are checked here, the other settings by `train_configs`."""
+    settings = dict(PATHS)
+    settings.update((public_name(f), f.default) for _, f, _ in _config_fields())
+    if args.config:
+        try:
             with open(args.config, encoding="utf-8") as fh:
-                try:
-                    loaded = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"config file {args.config}: {exc}") from exc
-            known = {f.name for f in fields(cls)}
-            unknown = set(loaded) - known
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-            values.update(loaded)
-        for f in fields(cls):
-            flag = getattr(args, f.name, None)
-            if flag is not None:
-                values[f.name] = flag
-        return cls(**values)
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config file {args.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        unknown = set(loaded) - set(settings)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        settings.update(loaded)
+    for name in settings:
+        flag = getattr(args, name)
+        if flag is not None:
+            settings[name] = flag
+    for name in PATHS:
+        value = settings[name]
+        if not (isinstance(value, str) or value is None and name != "out"):
+            raise ConfigError(f"{name} must be a path string, got {value!r}")
+    if not settings["corpus"]:
+        raise ConfigError("train requires --corpus")
+    return settings
 
-    def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size, dim=self.dim, levels=self.levels,
-            channels=self.channels, h_dim=self.h_dim, hidden=self.hidden,
-            mode=ScoreMode(self.mode), dropout=self.dropout,
-        )
 
-    def train_config(self) -> adv.TrainConfig:
-        return adv.TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size,
-            neg_samples=self.neg_samples, pool_size=self.pool_size,
-            base_lr=self.lr, l2=self.l2, adversarial=self.adversarial,
-            dev_split=self.dev_split, seed=self.seed,
-        )
+def train_configs(settings: dict, vocab_size: int) -> tuple[ModelConfig, adv.TrainConfig]:
+    """The model and training configurations that `settings` describe;
+    ConfigError names the first wrongly typed or out-of-range value."""
+    kwargs = {ModelConfig: {"vocab_size": vocab_size}, adv.TrainConfig: {}}
+    for cls, f, _ in _config_fields():
+        kwargs[cls][f.name] = settings[public_name(f)]
+    return ModelConfig(**kwargs[ModelConfig]), adv.TrainConfig(**kwargs[adv.TrainConfig])
 
 
 def load_corpus(path) -> D.Corpus:
@@ -105,6 +103,15 @@ def load_corpus(path) -> D.Corpus:
 def remap_tokens(ids, corpus_vocab, model_vocab):
     """Translate a sentence from the corpus vocabulary into the checkpoint's."""
     return [model_vocab.lookup(corpus_vocab.token(i)) for i in ids]
+
+
+def _remap_thread(thread, corpus_vocab, model_vocab) -> D.QuestionThread:
+    """The thread with its question and answers in the checkpoint's vocabulary."""
+    cands = [D.Candidate(c.answer_id, c.text, c.relevant,
+                         remap_tokens(c.token_ids, corpus_vocab, model_vocab))
+             for c in thread.candidates]
+    return D.QuestionThread(thread.thread_id, thread.question_text, cands, thread.split,
+                            remap_tokens(thread.question_ids, corpus_vocab, model_vocab))
 
 
 # -- commands ----------------------------------------------------------------
@@ -122,20 +129,26 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = RunConfig.resolve(args)
-    if not cfg.corpus:
-        raise ConfigError("train requires --corpus")
-    corpus = load_corpus(cfg.corpus)
+    settings = resolve_train_settings(args)
+    # every setting is checked before a file is read or written; the
+    # vocabulary size is a placeholder until the corpus is read
+    model_cfg, train_cfg = train_configs(settings, vocab_size=1)
+    corpus = load_corpus(settings["corpus"])
+    model_cfg = replace(model_cfg, vocab_size=len(corpus.vocabulary))
     embedding = None
-    if cfg.embeddings:
-        embedding, coverage = D.load_embeddings(cfg.embeddings, corpus.vocabulary,
-                                                cfg.dim, seed=cfg.seed)
+    if settings["embeddings"]:
+        embedding, coverage = D.load_embeddings(settings["embeddings"], corpus.vocabulary,
+                                                model_cfg.dim, seed=train_cfg.seed)
         print(f"embedding coverage: {coverage:.3f}")
-    out = Path(cfg.out)
+    configs = {ModelConfig: model_cfg, adv.TrainConfig: train_cfg}
+    archive = {name: settings[name] for name in PATHS}
+    archive.update((public_name(f), getattr(configs[cls], f.name))
+                   for cls, f, _ in _config_fields())
+    out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(asdict(cfg), sort_keys=True, indent=2) + "\n")
+    (out / "config.json").write_text(
+        json.dumps(archive, sort_keys=True, indent=2, default=lambda mode: mode.value) + "\n")
     metrics_path = out / "metrics.jsonl"
-    model_cfg = cfg.model_config(len(corpus.vocabulary))
     with open(metrics_path, "w", encoding="utf-8") as sink:
         def emit(row):
             sink.write(json.dumps(row) + "\n")
@@ -144,11 +157,11 @@ def cmd_train(args) -> int:
             print(f"epoch {row['epoch']:3d} [{row['phase']}] loss={loss} "
                   f"dev_map={dev} lr={row['lr']:g}")
 
-        result = adv.train(corpus, model_cfg, cfg.train_config(),
+        result = adv.train(corpus, model_cfg, train_cfg,
                            embedding_matrix=embedding, metrics_sink=emit)
-    save_checkpoint(out / "discriminator.ckpt", result.discriminator, cfg.seed,
+    save_checkpoint(out / "discriminator.ckpt", result.discriminator, train_cfg.seed,
                     corpus.vocabulary)
-    save_checkpoint(out / "generator.ckpt", result.generator, cfg.seed, corpus.vocabulary)
+    save_checkpoint(out / "generator.ckpt", result.generator, train_cfg.seed, corpus.vocabulary)
     print(f"checkpoints and metrics written to {out}")
     return 0
 
@@ -159,15 +172,7 @@ def cmd_eval(args) -> int:
     threads = corpus.split(args.split)
     if not threads:
         raise EvaluationError(f"no threads in split {args.split!r}")
-    remapped = []
-    for t in threads:
-        q = remap_tokens(t.question_ids, corpus.vocabulary, model_vocab)
-        cands = [
-            D.Candidate(c.answer_id, c.text, c.relevant,
-                        remap_tokens(c.token_ids, corpus.vocabulary, model_vocab))
-            for c in t.candidates
-        ]
-        remapped.append(D.QuestionThread(t.thread_id, t.question_text, cands, t.split, q))
+    remapped = [_remap_thread(t, corpus.vocabulary, model_vocab) for t in threads]
     map10, mrr10, ranked = E.evaluate(remapped, model)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -182,15 +187,8 @@ def cmd_eval(args) -> int:
 def cmd_rank(args) -> int:
     corpus = load_corpus(args.corpus)
     model, _, model_vocab = load_checkpoint(args.checkpoint)
-    thread = corpus.thread(args.thread)
-    q = remap_tokens(thread.question_ids, corpus.vocabulary, model_vocab)
-    cands = [
-        D.Candidate(c.answer_id, c.text, c.relevant,
-                    remap_tokens(c.token_ids, corpus.vocabulary, model_vocab))
-        for c in thread.candidates
-    ]
-    ranked = E.rank(D.QuestionThread(thread.thread_id, thread.question_text, cands,
-                                     thread.split, q), model)
+    ranked = E.rank(_remap_thread(corpus.thread(args.thread), corpus.vocabulary, model_vocab),
+                    model)
     for pos, entry in enumerate(ranked.entries, start=1):
         print(f"{pos}\t{entry.answer_id}\t{entry.score!r}")
     return 0
@@ -226,7 +224,6 @@ def _gradcheck_report(seed: int) -> list[tuple[str, float]]:
     rw = T.Tensor(rng.normal(size=9))
     check("relu", lambda: (T.relu(r) * rw).sum(), [r])
     check("sigmoid", lambda: (T.sigmoid(r) * rw).sum(), [r])
-    check("softmax", lambda: (T.softmax(r, axis=0) * rw).sum(), [r])
     check("log_softmax", lambda: (T.log_softmax(r, axis=0) * rw).sum(), [r])
 
     mp = T.Tensor(rng.permutation(np.linspace(1.0, 2.0, 10)).reshape(2, 5),
@@ -331,6 +328,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise argparse.ArgumentTypeError(f"expected on or off, got {text!r}")
+    return text == "on"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cqarank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -347,26 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train discriminator and generator")
-    p.add_argument("--config", help="JSON file with RunConfig defaults")
-    p.add_argument("--corpus")
-    p.add_argument("--out")
-    p.add_argument("--embeddings")
-    p.add_argument("--mode", choices=["word", "multi", "full"])
-    p.add_argument("--adversarial", choices=["on", "off"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--pool-size", type=int)
-    p.add_argument("--neg-samples", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--h-dim", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--dev-split")
+    p.add_argument("--config", help="JSON file of settings keyed by flag name, with _ for -")
+    for name in PATHS:
+        p.add_argument(f"--{name}")
+    for _, f, kind in _config_fields():
+        flag = "--" + public_name(f).replace("_", "-")
+        if issubclass(kind, enum.Enum):
+            p.add_argument(flag, choices=[m.value for m in kind])
+        elif kind is bool:
+            p.add_argument(flag, type=_on_off, metavar="{on,off}")
+        else:
+            p.add_argument(flag, type=kind)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus split")
@@ -397,8 +391,6 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    if getattr(args, "adversarial", None) is not None:
-        args.adversarial = args.adversarial == "on"
     try:
         return args.func(args)
     except (ConfigError, ContractError) as exc:

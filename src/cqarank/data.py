@@ -283,9 +283,12 @@ def load_embeddings(path, vocabulary: Vocabulary, dim: int, seed: int = 0):
                 )
             if token in vocabulary:
                 try:
-                    matrix[vocabulary.lookup(token)] = [float(v) for v in values]
+                    row = np.array([float(v) for v in values])
                 except ValueError as exc:
                     raise ParseError(f"non-numeric value for token {token!r}", line=lineno) from exc
+                if not np.all(np.isfinite(row)):
+                    raise ParseError(f"non-finite value for token {token!r}", line=lineno)
+                matrix[vocabulary.lookup(token)] = row
                 covered += 1
     denom = max(len(vocabulary) - 1, 1)
     return matrix, covered / denom

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, asdict
+import sys
+import typing
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -49,6 +51,39 @@ def scale_pairs(mode: ScoreMode, levels: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(levels + 1) for v in range(levels + 1)]
 
 
+def public_name(f) -> str:
+    """A config field's flag and config-file key, when it differs from the
+    field's own name, is declared in the field's metadata."""
+    return f.metadata.get("name", f.name)
+
+
+# what a config field of each declared type accepts, and how to say so
+_ACCEPTS = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max, "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def check_field_types(config) -> None:
+    """ConfigError unless every field of the dataclass `config` holds its
+    declared type: an int field takes no bool or float, a float field also
+    takes an int, a bool field takes only a bool, and an enum field takes a
+    member or a member's value. Values are stored as the declared type."""
+    hints = typing.get_type_hints(type(config))
+    for f in fields(config):
+        kind, value = hints[f.name], getattr(config, f.name)
+        if issubclass(kind, enum.Enum):
+            values = [m.value for m in kind]
+            if not (isinstance(value, kind) or isinstance(value, str) and value in values):
+                raise ConfigError(f"{public_name(f)} must be one of {values}, got {value!r}")
+        elif not _ACCEPTS[kind][0](value):
+            raise ConfigError(f"{public_name(f)} must be {_ACCEPTS[kind][1]}, got {value!r}")
+        setattr(config, f.name, kind(value))
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -63,8 +98,7 @@ class ModelConfig:
     emb_trainable: bool = True
 
     def __post_init__(self):
-        if isinstance(self.mode, str):
-            self.mode = ScoreMode(self.mode)
+        check_field_types(self)
         if min(self.vocab_size, self.dim, self.channels, self.h_dim, self.hidden) < 1 \
                 or self.levels < 0:
             raise ConfigError("vocab_size, dim, channels, h_dim and hidden must be positive, "
@@ -307,9 +341,6 @@ class MatchingModel:
         hierarchies = self.encode_batch([q_tokens] + list(candidates_tokens),
                                         train=train, rng=rng)
         return self.score_answers(hierarchies[0], hierarchies[1:], train, rng)
-
-    def discriminator_prob(self, q_tokens, a_tokens, train: bool = False, rng=None) -> Tensor:
-        return N.sigmoid(self.score(q_tokens, a_tokens, train=train, rng=rng))
 
     # -- persistence ---------------------------------------------------------
 

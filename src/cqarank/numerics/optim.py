@@ -5,22 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .tensor import Tensor
+
+LR_DECAY_FACTOR = 5.0
 
 
-def learning_rate(epoch: int, base: float = 1e-4, factor: float = 5.0, every: int = 10) -> float:
-    """Step decay: base divided by factor once per `every` epochs."""
-    return base / factor ** (epoch // every)
-
-
-class AdamState:
-    """First/second moment buffers for one parameter."""
-
-    __slots__ = ("m", "v")
-
-    def __init__(self, param: Tensor):
-        self.m = np.zeros_like(param.data)
-        self.v = np.zeros_like(param.data)
+def learning_rate(epoch: int, base: float = 1e-4, every: int = 10) -> float:
+    """Step decay: base divided by LR_DECAY_FACTOR once per `every` epochs."""
+    return base / LR_DECAY_FACTOR ** (epoch // every)
 
 
 class Adam:
@@ -32,7 +23,9 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.state = [AdamState(p) for p in self.params]
+        # first and second moment buffers, one per parameter
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self):
         for p in self.params:
@@ -43,29 +36,14 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, s in zip(self.params, self.state):
+        for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
                 continue
             if g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
-            s.m = self.beta1 * s.m + (1.0 - self.beta1) * g
-            s.v = self.beta2 * s.v + (1.0 - self.beta2) * (g * g)
-            m_hat = s.m / bc1
-            v_hat = s.v / bc2
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
+            m_hat = self.m[i] / bc1
+            v_hat = self.v[i] / bc2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def adam_step(params, grads, optimizer: Adam):
-    """Functional form: write grads into the params and apply one step."""
-    if len(params) != len(grads):
-        raise ShapeError(f"{len(params)} parameters but {len(grads)} gradients")
-    for p, g in zip(params, grads):
-        g = np.asarray(g, dtype=p.data.dtype)
-        if g.shape != p.data.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-        p.grad[...] = g
-    optimizer.step()
-    return params

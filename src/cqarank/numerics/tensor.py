@@ -7,7 +7,8 @@ recorded graph once in reverse topological order, accumulating gradients
 additively at fan-out points.
 
 Default element type is float64 so finite-difference checks are meaningful;
-pass dtype=np.float32 (or set_default_dtype) for speed.
+a model built with ``ModelConfig.dtype="float32"`` passes dtype=np.float32
+for speed.
 """
 
 from __future__ import annotations
@@ -16,33 +17,9 @@ import contextlib
 
 import numpy as np
 
-from ..errors import ConfigError, ContractError, EmptyInputError, DivergenceError, ShapeError
+from ..errors import ContractError, EmptyInputError, ShapeError
 
-_DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
-_STRICT = False
-
-
-def set_default_dtype(dtype):
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ConfigError(f"unsupported dtype {dtype}; use float32 or float64")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
-def set_strict(flag: bool):
-    """In strict mode every op result is checked for NaN/Inf."""
-    global _STRICT
-    _STRICT = bool(flag)
-
-
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 @contextlib.contextmanager
@@ -67,7 +44,7 @@ class Tensor:
         ):
             arr = data
         else:
-            arr = np.asarray(data, dtype=dtype if dtype is not None else _DEFAULT_DTYPE)
+            arr = np.asarray(data, dtype=dtype if dtype is not None else np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if self.requires_grad else None
@@ -98,9 +75,6 @@ class Tensor:
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0.0
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), dtype=self.data.dtype)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -207,8 +181,6 @@ def _wrap(x, dtype):
 
 def _make(data, parents, backward):
     """Build an op result; records the graph only if some input needs grad."""
-    if _STRICT and not np.all(np.isfinite(data)):
-        raise DivergenceError("non-finite values produced by a tensor operation")
     out = Tensor.__new__(Tensor)
     out.data = data
     requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
@@ -240,7 +212,7 @@ def _unbroadcast(grad, shape):
 
 
 def add(a, b):
-    a = _wrap(a, _DEFAULT_DTYPE)
+    a = _wrap(a, np.float64)
     b = _wrap(b, a.dtype)
     data = a.data + b.data
 
@@ -251,7 +223,7 @@ def add(a, b):
 
 
 def mul(a, b):
-    a = _wrap(a, _DEFAULT_DTYPE)
+    a = _wrap(a, np.float64)
     b = _wrap(b, a.dtype)
     data = a.data * b.data
 
@@ -277,15 +249,6 @@ def log(x: Tensor) -> Tensor:
 
     def backward(g):
         return (g / x.data,)
-
-    return _make(data, (x,), backward)
-
-
-def exp(x: Tensor) -> Tensor:
-    data = np.exp(x.data)
-
-    def backward(g):
-        return (g * data,)
 
     return _make(data, (x,), backward)
 
@@ -318,18 +281,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def backward(g):
         return (g * data * (1.0 - data),)
-
-    return _make(data, (x,), backward)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        return (data * (g - dot),)
 
     return _make(data, (x,), backward)
 

@@ -8,8 +8,10 @@ runtime of this module.
 
 import json
 import re
+import shlex
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,15 +180,21 @@ def e2e_corpus():
                           split_sizes=(40, 0, 10))
 
 
-@lru_cache(maxsize=None)
-def run_arm(mode_value: str, adversarial: bool, seed: int):
-    corpus = e2e_corpus()
-    model_cfg = ModelConfig(vocab_size=len(corpus.vocabulary), dim=32, levels=2,
+def arm_configs(mode_value: str, adversarial: bool, seed: int, vocab_size: int):
+    """The acceptance model and training configuration of one arm."""
+    model_cfg = ModelConfig(vocab_size=vocab_size, dim=32, levels=2,
                             channels=24, h_dim=32, hidden=64,
                             mode=ScoreMode(mode_value), dropout=0.2)
     train_cfg = TrainConfig(epochs=30, batch_size=1, neg_samples=10, pool_size=20,
                             base_lr=5e-3, lr_decay_every=15, l2=1e-6,
                             adversarial=adversarial, dev_split="test", seed=seed)
+    return model_cfg, train_cfg
+
+
+@lru_cache(maxsize=None)
+def run_arm(mode_value: str, adversarial: bool, seed: int):
+    corpus = e2e_corpus()
+    model_cfg, train_cfg = arm_configs(mode_value, adversarial, seed, len(corpus.vocabulary))
     start = time.monotonic()
     result = train(corpus, model_cfg, train_cfg)
     elapsed = time.monotonic() - start
@@ -239,6 +247,19 @@ def test_ablation_direction(capsys):
     assert means["multi"] >= means["single"], means
     report(capsys, "ablation-direction",
            ", ".join(f"{k}={v:.3f}" for k, v in means.items()))
+
+
+def test_readme_walkthrough_trains_the_acceptance_configuration(capsys):
+    """The README's `cqarank train` command, parsed and resolved by the CLI,
+    is the multi+adv arm's configuration, apart from the corpus and seed."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    command = re.search(r"^cqarank train .*?[^\\]$", readme, re.M | re.S).group(0)
+    argv = shlex.split(command.replace("\\\n", " "))[1:]
+    settings = cli.resolve_train_settings(cli.build_parser().parse_args(argv))
+    vocab_size = len(e2e_corpus().vocabulary)
+    model_cfg, train_cfg = cli.train_configs(settings, vocab_size)
+    assert (model_cfg, train_cfg) == arm_configs("multi", True, train_cfg.seed, vocab_size)
+    report(capsys, "readme-walkthrough", f"`cqarank {' '.join(argv)}`")
 
 
 # -- learning-rate schedule ------------------------------------------------------

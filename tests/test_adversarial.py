@@ -142,11 +142,6 @@ class TestSampleNegatives:
             assert len(set(picked)) == 4
             assert all(0 <= i < 6 for i in picked)
 
-    def test_deterministic_top_s(self):
-        picked = A.sample_negatives([0.1, 0.4, 0.1, 0.4], 3,
-                                    np.random.default_rng(0), deterministic=True)
-        assert picked == [1, 3, 0]  # ties broken by index
-
 
 def word_model(seed=0, **kw):
     cfg = dict(vocab_size=12, dim=3, levels=0, channels=4, h_dim=3, hidden=4,
@@ -184,9 +179,9 @@ class TestDiscriminatorStep:
         model = word_model(seed=2)
         opt = N.Adam(model.parameters(), lr=1e-3)
         q, pos, neg = [1, 2, 3], [4, 5], [6, 7]
-        before = model.discriminator_prob(q, pos).item()
+        before = N.sigmoid(model.score(q, pos)).item()
         A.discriminator_step([A.DiscItem(q, [pos], [neg])], model, opt, l2=0.0)
-        after = model.discriminator_prob(q, pos).item()
+        after = N.sigmoid(model.score(q, pos)).item()
         assert after > before
 
     def test_loss_gradient_matches_finite_differences(self):
@@ -318,7 +313,7 @@ def small_configs(corpus, **kw):
     mc = ModelConfig(vocab_size=len(corpus.vocabulary), dim=6, levels=1, channels=5,
                      h_dim=4, hidden=6, mode=ScoreMode.MULTI, dropout=0.1)
     tc = dict(epochs=4, batch_size=4, neg_samples=2, pool_size=6, base_lr=1e-3,
-              l2=1e-6, adversarial=True, dev_split="dev", seed=11, debug_checks=True)
+              l2=1e-6, adversarial=True, dev_split="dev", seed=11)
     tc.update(kw)
     return mc, A.TrainConfig(**tc)
 
@@ -397,7 +392,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             A.TrainConfig(l2=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", True), ("epochs", 2.0), ("seed", None), ("base_lr", "1e-3"),
+        ("base_lr", float("nan")), ("l2", float("inf")), ("adversarial", "off"),
+        ("adversarial", 1), ("dev_split", 0),
+    ])
+    def test_wrongly_typed_field(self, field, value):
+        with pytest.raises(ConfigError, match="lr" if field == "base_lr" else field):
+            A.TrainConfig(**{field: value})
+
+    def test_an_int_is_a_float(self):
+        tc = A.TrainConfig(base_lr=1, l2=0)
+        assert (tc.base_lr, tc.l2) == (1.0, 0.0)
+        assert type(tc.base_lr) is float and type(tc.l2) is float
+
     def test_phase_cycle(self):
-        tc = A.TrainConfig(disc_epochs_per_round=2, gen_epochs_per_round=1)
-        assert [tc.phase(e) for e in range(6)] == \
-               ["disc", "disc", "gen", "disc", "disc", "gen"]
+        assert [A.TrainConfig().phase(e) for e in range(5)] == \
+               ["disc", "gen", "disc", "gen", "disc"]
+        assert [A.TrainConfig(adversarial=False).phase(e) for e in range(3)] == ["disc"] * 3

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cqarank import cli
 from cqarank import data as D
@@ -109,6 +110,19 @@ class TestTrainCommand:
         assert run("train", "--corpus", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "o")) == 2
 
+    def test_non_finite_embedding_is_data_error(self, tmp_path, capsys):
+        corpus_path = synth_corpus(tmp_path / "c.jsonl")
+        token = D.load_jsonl(corpus_path).vocabulary.tokens()[1]
+        vec_path = tmp_path / "vectors.txt"
+        vec_path.write_text(f"{token} nan inf 1 2 3 4\n")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run("train", "--corpus", str(corpus_path), "--out", str(out),
+                   "--embeddings", str(vec_path), *TINY_TRAIN) == 2
+        assert capsys.readouterr().err == \
+            f"error: line 1: non-finite value for token {token!r}\n"
+        assert not out.exists()
+
     def test_pretrained_embeddings_are_frozen(self, tmp_path):
         corpus_path = synth_corpus(tmp_path / "c.jsonl")
         corpus = D.load_jsonl(corpus_path)
@@ -127,6 +141,116 @@ class TestTrainCommand:
         assert not model.embedding.trainable
         row = model.embedding.matrix.data[1]
         assert np.all(np.abs(row) <= 4.0)  # came from the file, not the +-0.1 init
+
+
+# every config-file key and the JSON type it takes; "mode" takes one of its names
+CONFIG_KEYS = {
+    "corpus": str, "out": str, "embeddings": str, "dim": int, "levels": int,
+    "channels": int, "h_dim": int, "hidden": int, "mode": str, "dropout": float,
+    "dtype": str, "epochs": int, "batch_size": int, "neg_samples": int, "pool_size": int,
+    "lr": float, "lr_decay_every": int, "l2": float, "adversarial": bool,
+    "dev_split": str, "seed": int,
+}
+TINY_CONFIG = {"dim": 6, "levels": 1, "channels": 4, "h_dim": 4, "hidden": 6, "epochs": 0,
+               "batch_size": 4, "pool_size": 5, "neg_samples": 2}
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6),
+    st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 9), max_size=1),
+)
+
+
+def well_typed(key, value):
+    kind = CONFIG_KEYS[key]
+    if key == "embeddings" and value is None:
+        return True
+    if kind is float:
+        return type(value) in (int, float)
+    return type(value) is kind
+
+
+WRONGLY_TYPED = st.sampled_from(sorted(CONFIG_KEYS)).flatmap(
+    lambda key: st.tuples(st.just(key), JSON_VALUES.filter(lambda v: not well_typed(key, v))))
+
+
+def train_with_config(tmp_path, capsys, text):
+    """(exit code, stderr) of `cqarank train --config` on a file holding `text`."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(text)
+    capsys.readouterr()
+    rc = run("train", "--config", str(cfg_file))
+    return rc, capsys.readouterr().err
+
+
+class TestTrainConfigFile:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(WRONGLY_TYPED)
+    @example(("adversarial", "off"))
+    @example(("epochs", "2"))
+    @example(("epochs", True))
+    @example(("dim", 2.5))
+    @example(("lr", "1e-3"))
+    @example(("lr", float("nan")))
+    @example(("pool_size", None))
+    @example(("mode", "bogus"))
+    @example(("out", None))
+    def test_wrongly_typed_value_is_one_line_exit_1(self, tmp_path, capsys, case):
+        key, value = case
+        corpus = tmp_path / "c.jsonl"
+        if not corpus.exists():
+            synth_corpus(corpus)
+        out = tmp_path / "out"
+        config = {"corpus": str(corpus), "out": str(out), **TINY_CONFIG, key: value}
+        rc, err = train_with_config(tmp_path, capsys, json.dumps(config))
+        assert rc == 1, (case, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", "{not json", '"corpus.jsonl"'])
+    def test_not_an_object_is_one_line_exit_1(self, tmp_path, capsys, text):
+        rc, err = train_with_config(tmp_path, capsys, text)
+        assert rc == 1
+        assert err.startswith("error: config file") and err.count("\n") == 1, err
+
+    def test_earlier_config_format_still_trains(self, tmp_path, capsys):
+        corpus = synth_corpus(tmp_path / "c.jsonl")
+        out = tmp_path / "run"
+        # the 19 keys that config.json held before lr_decay_every and dtype
+        config = {"adversarial": True, "batch_size": 4, "channels": 4, "corpus": str(corpus),
+                  "dev_split": "dev", "dim": 6, "dropout": 0.2, "embeddings": None,
+                  "epochs": 2, "h_dim": 4, "hidden": 6, "l2": 1e-06, "levels": 1, "lr": 0.001,
+                  "mode": "multi", "neg_samples": 2, "out": str(out), "pool_size": 5,
+                  "seed": 9}
+        rc, err = train_with_config(tmp_path, capsys, json.dumps(config))
+        assert rc == 0, err
+        archived = json.loads((out / "config.json").read_text())
+        assert archived == {**config, "lr_decay_every": 10, "dtype": "float64"}
+
+    def test_archived_config_reproduces_the_run(self, tmp_path):
+        corpus = synth_corpus(tmp_path / "c.jsonl")
+        first, second = tmp_path / "r1", tmp_path / "r2"
+        assert run("train", "--corpus", str(corpus), "--out", str(first), "--seed", "9",
+                   "--lr-decay-every", "1", "--adversarial", "on", *TINY_TRAIN) == 0
+        assert run("train", "--config", str(first / "config.json"), "--out", str(second)) == 0
+        for fname in ("discriminator.ckpt", "generator.ckpt", "metrics.jsonl"):
+            assert (first / fname).read_bytes() == (second / fname).read_bytes()
+        archived = [json.loads((d / "config.json").read_text()) for d in (first, second)]
+        assert archived[0] == {**archived[1], "out": str(first)}
+        assert [json.loads(r)["lr"] for r in
+                (first / "metrics.jsonl").read_text().splitlines()] == [1e-3, 2e-4]
+
+    def test_float32_run_is_reproducible(self, tmp_path):
+        corpus = synth_corpus(tmp_path / "c.jsonl")
+        outs = [tmp_path / "r1", tmp_path / "r2"]
+        for out in outs:
+            assert run("train", "--corpus", str(corpus), "--out", str(out), "--seed", "9",
+                       "--dtype", "float32", *TINY_TRAIN) == 0
+        for fname in ("discriminator.ckpt", "generator.ckpt", "metrics.jsonl"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+        model, _, _ = load_checkpoint(outs[0] / "discriminator.ckpt")
+        assert {arr.dtype for _, arr in model.named_arrays()} == {np.dtype(np.float32)}
 
 
 def perfect_fixture(path):
@@ -275,7 +399,7 @@ class TestGradcheckCommand:
         assert run("gradcheck", "--seed", "0") == 0
         out = capsys.readouterr().out
         for name in ("matmul", "conv1d", "batchnorm1d(train)", "relu", "sigmoid",
-                     "softmax", "maxpool1d", "reduce_mean", "reduce_max", "concat",
+                     "log_softmax", "maxpool1d", "reduce_mean", "reduce_max", "concat",
                      "embedding_lookup", "match_pair(train)", "score_multi_scale",
                      "discriminator_loss", "generator_surrogate"):
             assert name in out

@@ -235,6 +235,13 @@ class TestEmbeddings:
         with pytest.raises(ParseError, match="line 2"):
             data.load_embeddings(p, self._vocab(), 2, seed=1)
 
+    @pytest.mark.parametrize("row", ["nan 1", "1 inf", "-inf 2", "1e999 0"])
+    def test_non_finite_value(self, tmp_path, row):
+        p = tmp_path / "vec.txt"
+        p.write_text(f"alpha 1 2\nbeta {row}\n")
+        with pytest.raises(ParseError, match="line 2: non-finite value for token 'beta'"):
+            data.load_embeddings(p, self._vocab(), 2, seed=1)
+
 
 class TestSynth:
     def test_two_topic_degenerate_partner(self):

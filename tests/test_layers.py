@@ -229,13 +229,15 @@ class TestAdam:
         expected = 0.0 - 1e-4 * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert abs(p.data[0] - expected) <= 1e-12
 
-    def test_functional_adam_step_shape_check(self):
+    def test_step_rejects_wrongly_shaped_grad(self):
         from cqarank.errors import ShapeError
 
         p = N.Tensor([0.0, 1.0], requires_grad=True)
         opt = N.Adam([p], lr=1e-3)
+        p.grad = np.zeros(3)
         with pytest.raises(ShapeError):
-            N.adam_step([p], [np.zeros(3)], opt)
+            opt.step()
+        assert np.array_equal(p.data, [0.0, 1.0])
 
     def test_descends_a_quadratic(self):
         p = N.Tensor([5.0], requires_grad=True)
@@ -296,20 +298,3 @@ class TestGradcheckHarness:
         assert N.gradcheck(lambda: zero_backward(x), [x]) == pytest.approx(1.0)
         assert x.data.flags.f_contiguous
         assert np.array_equal(x.data, np.arange(6.0).reshape(2, 3))
-
-
-class TestStrictMode:
-    def test_strict_flags_non_finite(self):
-        from cqarank.errors import DivergenceError
-
-        N.set_strict(True)
-        try:
-            with pytest.raises(DivergenceError), np.errstate(invalid="ignore"):
-                N.log(N.Tensor([-1.0]))
-        finally:
-            N.set_strict(False)
-
-    def test_permissive_by_default(self):
-        with np.errstate(invalid="ignore"):
-            out = N.log(N.Tensor([-1.0]))
-        assert np.isnan(out.data[0])

@@ -50,6 +50,18 @@ class TestConfig:
             tiny_config(**{field: 0})
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 2.5), ("levels", True), ("dropout", "0.1"), ("mode", "bogus"), ("mode", 1),
+        ("dtype", None), ("emb_trainable", 1),
+    ])
+    def test_wrongly_typed_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            tiny_config(**{field: value})
+
+    def test_mode_by_value(self):
+        assert tiny_config(mode="word").mode is ScoreMode.WORD
+
+
 class TestEncode:
     def test_hierarchy_lengths(self):
         model = tiny_model()
@@ -237,20 +249,20 @@ class TestDiscriminatorProb:
         model = tiny_model(seed=18)
         model.agg2.weight.data[...] = 0.0
         model.agg2.bias.data[...] = 0.0
-        assert model.discriminator_prob([1, 2], [3]).item() == 0.5
+        assert N.sigmoid(model.score([1, 2], [3])).item() == 0.5
 
     def test_monotone_in_score(self):
         model = tiny_model(seed=19)
         pairs = [([1, 2, 3], [4, 5]), ([6, 7], [8, 9, 10]), ([11], [12])]
         scores = [model.score(q, a).item() for q, a in pairs]
-        probs = [model.discriminator_prob(q, a).item() for q, a in pairs]
+        probs = [N.sigmoid(model.score(q, a)).item() for q, a in pairs]
         assert np.argsort(scores).tolist() == np.argsort(probs).tolist()
 
     def test_log3_gives_three_quarters(self):
         model = tiny_model(seed=20)
         model.agg2.weight.data[...] = 0.0
         model.agg2.bias.data[...] = np.log(3.0)
-        assert model.discriminator_prob([1, 2], [3]).item() == pytest.approx(0.75, abs=1e-12)
+        assert N.sigmoid(model.score([1, 2], [3])).item() == pytest.approx(0.75, abs=1e-12)
 
 
 class TestCheckpoint:
@@ -415,6 +427,14 @@ class TestCheckpointErrors:
         p = tmp_path / "m.ckpt"
         p.write_bytes(CHECKPOINT_MAGIC + line + b"\n")
         with pytest.raises(ParseError, match="malformed checkpoint header"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("field, value", [("levels", True), ("emb_trainable", 1),
+                                              ("dropout", "0.0")])
+    def test_wrongly_typed_config_field(self, tmp_path, field, value):
+        p = _saved(tmp_path)
+        _rewrite(p, lambda header, arrays: header["config"].update({field: value}))
+        with pytest.raises(ParseError, match=f"malformed checkpoint header \\({field} must be"):
             load_checkpoint(p)
 
     def test_trailing_bytes(self, tmp_path):
