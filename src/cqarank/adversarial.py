@@ -16,6 +16,11 @@ forward per batch (dropout, batch statistics), samples from that forward's
 detached softmax and backpropagates the surrogate through the same graph, so
 the likelihood-ratio gradient is taken under the distribution that drew the
 samples.
+
+Every score here comes from `MatchingModel.score_groups`, one vector per
+question: the discriminator's loss and the generator's pool softmax read it
+in train mode; the disc phase's sampling distribution and the rewards read
+it in eval mode through `score_candidates`.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as N
-from .data import Corpus, QuestionThread
+from .data import SPLITS, Corpus, QuestionThread
 from .errors import ConfigError, ContractError, CorpusError, DivergenceError, EvaluationError
 from .evaluation import evaluate
 from .model import MatchingModel, ModelConfig, check_field_types
@@ -57,17 +62,11 @@ class RewardBaseline:
     """Mean reward of the previous epoch; zero before any epoch finishes."""
 
     value: float = 0.0
-    count: int = 0
 
     def refresh(self, rewards):
         rewards = list(rewards)
         if rewards:
             self.value = float(np.mean(rewards))
-            self.count = len(rewards)
-
-    def check_finite(self):
-        if not math.isfinite(self.value):
-            raise DivergenceError(f"reward baseline became non-finite: {self.value}")
 
 
 @dataclass
@@ -97,6 +96,8 @@ class TrainConfig:
             raise ConfigError("l2 coefficient must be non-negative")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if self.dev_split not in SPLITS:
+            raise ConfigError(f"dev_split must be one of {list(SPLITS)}, got {self.dev_split!r}")
 
     def phase(self, epoch: int) -> str:
         """Disc and gen epochs alternate one to one; without the adversarial
@@ -157,10 +158,8 @@ def generator_distribution(q_tokens, pool: CandidatePool, generator: MatchingMod
     the gen phase samples from its own train-mode forward instead."""
     if len(pool) == 0:
         raise ContractError("generator distribution over an empty pool")
-    with N.no_grad():
-        scores = generator.score_candidates(q_tokens, [a.token_ids for a in pool.answers])
-    arr = np.array([s.item() for s in scores])
-    shifted = arr - arr.max()
+    scores = generator.score_candidates(q_tokens, [a.token_ids for a in pool.answers])
+    shifted = scores - scores.max()
     e = np.exp(shifted)
     return e / e.sum()
 
@@ -186,10 +185,6 @@ def sample_negatives(distribution, s: int, rng: np.random.Generator) -> list[int
     return chosen
 
 
-def _stack_scalars(scores) -> Tensor:
-    return N.concat([s.reshape((1,)) for s in scores], axis=0)
-
-
 def _l2_term(model: MatchingModel, coeff: float):
     if coeff == 0.0:
         return None
@@ -209,24 +204,17 @@ def discriminator_loss(items, model: MatchingModel, l2: float = 0.0,
     negatives = sum(len(it.negatives) for it in items)
     if positives == 0 or negatives == 0:
         raise ContractError("discriminator batch needs at least one positive and one negative")
-    sentences = []
-    for it in items:
-        sentences.append(it.question)
-        sentences.extend(it.positives)
-        sentences.extend(it.negatives)
-    hierarchies = model.encode_batch(sentences, train=train, rng=rng)
-    pos_scores, neg_scores = [], []
-    cursor = 0
-    for it in items:
+    scores = model.score_groups([(it.question, it.positives + it.negatives) for it in items],
+                                train, rng)
+    pos, neg = [], []
+    for s, it in zip(scores, items):
         n_pos, n_neg = len(it.positives), len(it.negatives)
-        scores = model.score_answers(hierarchies[cursor],
-                                     hierarchies[cursor + 1:cursor + 1 + n_pos + n_neg],
-                                     train, rng)
-        pos_scores.extend(scores[:n_pos])
-        neg_scores.extend(scores[n_pos:])
-        cursor += 1 + n_pos + n_neg
-    d_pos = N.sigmoid(_stack_scalars(pos_scores))
-    d_neg = N.sigmoid(_stack_scalars(neg_scores))
+        if n_pos:
+            pos.append(N.narrow(s, 0, 0, n_pos))
+        if n_neg:
+            neg.append(N.narrow(s, 0, n_pos, n_neg))
+    d_pos = N.sigmoid(N.concat(pos, axis=0))
+    d_neg = N.sigmoid(N.concat(neg, axis=0))
     loss = (-1.0) * N.log(N.clamp_min(d_pos, LOG_CLAMP)).mean() \
         + (-1.0) * N.log(N.clamp_min(1.0 - d_neg, LOG_CLAMP)).mean()
     penalty = _l2_term(model, l2)
@@ -257,19 +245,8 @@ def _pool_log_probs(pairs, model: MatchingModel, rng: np.random.Generator | None
     """log-softmax of the model's scores over each (question tokens, pool)
     pair, from one joint forward: in train mode every sentence of the call
     shares the batchnorm statistics, and the dropout masks are this call's."""
-    sentences = []
-    for q_tokens, pool in pairs:
-        sentences.append(q_tokens)
-        sentences.extend(a.token_ids for a in pool.answers)
-    hierarchies = model.encode_batch(sentences, train=train, rng=rng)
-    log_probs = []
-    cursor = 0
-    for _, pool in pairs:
-        scores = model.score_answers(hierarchies[cursor],
-                                     hierarchies[cursor + 1:cursor + 1 + len(pool)], train, rng)
-        cursor += 1 + len(pool)
-        log_probs.append(N.log_softmax(_stack_scalars(scores), axis=0))
-    return log_probs
+    groups = [(q_tokens, [a.token_ids for a in pool.answers]) for q_tokens, pool in pairs]
+    return [N.log_softmax(s, axis=0) for s in model.score_groups(groups, train, rng)]
 
 
 def _reinforce_surrogate(log_probs, items, baseline: RewardBaseline) -> Tensor:
@@ -317,11 +294,8 @@ def generator_step(items, model: MatchingModel, optimizer: Adam, baseline: Rewar
 
 def negative_rewards(discriminator: MatchingModel, q_tokens, negatives) -> np.ndarray:
     """log(1 - D) of each negative under the current discriminator, eval mode."""
-    with N.no_grad():
-        scores = discriminator.score_candidates(q_tokens, negatives)
-        rewards = np.array([
-            math.log(max(1.0 - _sigmoid_value(s.item()), LOG_CLAMP)) for s in scores
-        ])
+    scores = discriminator.score_candidates(q_tokens, negatives)
+    rewards = np.array([math.log(max(1.0 - _sigmoid_value(s), LOG_CLAMP)) for s in scores])
     if not np.all(np.isfinite(rewards)):
         raise DivergenceError("non-finite generator reward")
     return rewards
@@ -408,7 +382,6 @@ def train(corpus: Corpus, model_config: ModelConfig, config: TrainConfig,
         if metrics_sink is not None:
             metrics_sink(row)
         baseline.refresh(rewards_seen)
-        baseline.check_finite()
     return TrainResult(discriminator, generator, metrics)
 
 

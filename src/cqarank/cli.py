@@ -283,10 +283,9 @@ def _enumeration_deviation(model, q_tokens, pool) -> float:
     """Max deviation between the enumerated exact gradient and the
     p-weighted expectation of baseline-shifted per-draw gradients."""
     params = model.parameters()
-    with T.no_grad():
-        raw = [s.item() for s in
-               model.score_candidates(q_tokens, [a.token_ids for a in pool.answers])]
-    e = np.exp(np.array(raw) - max(raw))
+    answers = [a.token_ids for a in pool.answers]
+    raw = model.score_candidates(q_tokens, answers)
+    e = np.exp(raw - raw.max())
     p = e / e.sum()
     rewards = np.linspace(-2.0, -0.5, len(pool.answers))
     baseline = float(rewards.mean())
@@ -294,8 +293,7 @@ def _enumeration_deviation(model, q_tokens, pool) -> float:
     def grad_log_p(index):
         for t in params:
             t.zero_grad()
-        scores = model.score_candidates(q_tokens, [a.token_ids for a in pool.answers])
-        log_p = T.log_softmax(T.concat([s.reshape((1,)) for s in scores], axis=0), axis=0)
+        log_p = T.log_softmax(model.score_groups([(q_tokens, answers)])[0], axis=0)
         T.take(log_p, [index]).sum().backward()
         return [t.grad.copy() for t in params]
 

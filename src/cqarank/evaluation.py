@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import numerics as N
 from .data import QuestionThread
 from .errors import DivergenceError, EvaluationError
 
@@ -33,13 +32,10 @@ class RankedList:
 def rank(thread: QuestionThread, model) -> RankedList:
     """Score every candidate in eval mode and sort deterministically; a
     non-finite score raises DivergenceError, since no order holds for NaN."""
-    with N.no_grad():
-        scores = model.score_candidates(
-            thread.question_ids, [c.token_ids for c in thread.candidates]
-        )
+    scores = model.score_candidates(thread.question_ids, [c.token_ids for c in thread.candidates])
     entries = [
-        RankedEntry(c.answer_id, s.item(), c.relevant)
-        for c, s in zip(thread.candidates, scores)
+        RankedEntry(c.answer_id, s, c.relevant)
+        for c, s in zip(thread.candidates, scores.tolist())
     ]
     for e in entries:
         if not math.isfinite(e.score):

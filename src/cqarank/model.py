@@ -144,9 +144,7 @@ class EmbeddingTable:
         for t in ids:
             if not 0 <= t < vocab:
                 raise VocabularyError(f"token id {t} outside vocabulary of size {vocab}")
-        if self.trainable:
-            return N.take_rows(self.matrix, ids).T
-        return Tensor(self.matrix.data[ids].T.copy())
+        return N.take_rows(self.matrix, ids).T
 
 
 class ConvBlock:
@@ -310,37 +308,52 @@ class MatchingModel:
         h_a = N.reduce_max(z, axis=0).mean(axis=0)  # max over question positions
         return N.concat([h_q, h_a], axis=0) + b2
 
-    def score_from_hierarchies(self, hq: list[Tensor], ha: list[Tensor],
-                               train: bool = False, rng=None, sides=None) -> Tensor:
-        """One answer's score; `sides` is `question_sides(hq)` when the caller has it."""
-        if sides is None:
-            sides = self.question_sides(hq)
+    def score_from_hierarchies(self, hq: list[Tensor], ha: list[Tensor], sides: dict,
+                               train: bool = False, rng=None) -> Tensor:
+        """One answer's score, shaped (1,); `sides` is `question_sides(hq)`."""
         vecs = [self.match_pair(hq[u], ha[v], (u, v), train, rng, sides[(u, v)])
                 for (u, v) in self.pairs]
         feats = N.concat(vecs, axis=0).reshape((1, -1))
         hidden = N.relu(self.agg1(feats))
         hidden = N.dropout(hidden, self.config.dropout, train, self._dropout_rng(train, rng))
-        return self.agg2(hidden).reshape(())
+        return self.agg2(hidden).reshape((1,))
 
-    def score_answers(self, hq: list[Tensor], answers, train: bool = False,
-                      rng=None) -> list[Tensor]:
-        """Score one encoded question against encoded answers, projecting the
-        question side of every scale pair once. Dropout draws keep the
-        per-answer order: one mask per comparison, then the head's."""
-        sides = self.question_sides(hq)
-        return [self.score_from_hierarchies(hq, ha, train, rng, sides) for ha in answers]
+    def score_groups(self, groups, train: bool = False, rng=None) -> list[Tensor]:
+        """The one scoring entry point: each (question tokens, [answer tokens...])
+        group's answer scores, as one (n,) Tensor per group.
+
+        Every sentence of the call is encoded jointly, so in train mode the
+        batchnorm statistics pool over all of them; each question's side of
+        every scale pair is projected once. Dropout draws follow group and
+        answer order: one mask per comparison, then the head's. A group
+        without answers gets an empty vector."""
+        sentences = []
+        for q_tokens, answers in groups:
+            sentences.append(q_tokens)
+            sentences.extend(answers)
+        hierarchies = self.encode_batch(sentences, train=train, rng=rng)
+        scores = []
+        cursor = 0
+        for _, answers in groups:
+            hq = hierarchies[cursor]
+            sides = self.question_sides(hq)
+            heads = [self.score_from_hierarchies(hq, ha, sides, train, rng)
+                     for ha in hierarchies[cursor + 1:cursor + 1 + len(answers)]]
+            scores.append(N.concat(heads, axis=0) if heads
+                          else Tensor(np.zeros(0, self.config.np_dtype)))
+            cursor += 1 + len(answers)
+        return scores
 
     def score(self, q_tokens, a_tokens, train: bool = False, rng=None) -> Tensor:
-        hq, ha = self.encode_batch([q_tokens, a_tokens], train=train, rng=rng)
-        return self.score_from_hierarchies(hq, ha, train, rng)
+        """One answer's score, a 0-d Tensor."""
+        return self.score_groups([(q_tokens, [a_tokens])], train, rng)[0].reshape(())
 
-    def score_candidates(self, q_tokens, candidates_tokens, train: bool = False,
-                         rng=None) -> list[Tensor]:
-        """Score one question against many answers; the question is encoded
-        once and, in train mode, batch statistics pool over all sentences."""
-        hierarchies = self.encode_batch([q_tokens] + list(candidates_tokens),
-                                        train=train, rng=rng)
-        return self.score_answers(hierarchies[0], hierarchies[1:], train, rng)
+    def score_candidates(self, q_tokens, candidates_tokens) -> np.ndarray:
+        """Eval-mode scores of one question's answers, without recording a
+        graph; float64 whatever the model's dtype."""
+        with N.no_grad():
+            scores = self.score_groups([(q_tokens, list(candidates_tokens))])[0]
+        return scores.data.astype(np.float64)
 
     # -- persistence ---------------------------------------------------------
 

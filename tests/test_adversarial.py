@@ -68,9 +68,9 @@ class StubScorer:
     def __init__(self, scores):
         self.scores = scores
 
-    def score_candidates(self, q_tokens, cands, train=False, rng=None):
+    def score_candidates(self, q_tokens, cands):
         assert len(cands) == len(self.scores)
-        return [N.Tensor(np.asarray(float(s))) for s in self.scores]
+        return np.array(self.scores, dtype=float)
 
 
 def make_pool(n):
@@ -215,17 +215,15 @@ def enumerated_reinforce_gradient(model, q_tokens, pool, rewards):
     """Exact expectation sum_i p_i * grad(log p_i) * r_i via the model's own
     autodiff, eval mode."""
     params = model.parameters()
-    with N.no_grad():
-        raw = [s.item() for s in
-               model.score_candidates(q_tokens, [a.token_ids for a in pool.answers])]
-    shifted = np.exp(np.array(raw) - max(raw))
+    answers = [a.token_ids for a in pool.answers]
+    raw = model.score_candidates(q_tokens, answers)
+    shifted = np.exp(raw - raw.max())
     p = shifted / shifted.sum()
     grand = [np.zeros_like(t.data) for t in params]
     for i, r in enumerate(rewards):
         for t in params:
             t.zero_grad()
-        scores = model.score_candidates(q_tokens, [a.token_ids for a in pool.answers])
-        log_p = N.log_softmax(N.concat([s.reshape((1,)) for s in scores], axis=0), axis=0)
+        log_p = N.log_softmax(model.score_groups([(q_tokens, answers)])[0], axis=0)
         N.take(log_p, [i]).sum().backward()
         for g, t in zip(grand, params):
             g += p[i] * r * t.grad

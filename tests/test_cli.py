@@ -208,6 +208,34 @@ class TestTrainConfigFile:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
 
+    def test_unknown_dev_split_is_one_line_exit_1(self, tmp_path, capsys):
+        corpus = synth_corpus(tmp_path / "c.jsonl")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run("train", "--corpus", str(corpus), "--out", str(out),
+                   "--dev-split", "tset", *TINY_TRAIN) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dev_split") and err.count("\n") == 1, err
+        assert not out.exists()
+        config = {"corpus": str(corpus), "out": str(out), **TINY_CONFIG, "dev_split": "tset"}
+        rc, err = train_with_config(tmp_path, capsys, json.dumps(config))
+        assert rc == 1
+        assert err.startswith("error: dev_split") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_empty_dev_split_trains_without_held_out_map(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        # the acceptance corpus's shape: no dev threads at all
+        assert run("synth", "--out", str(corpus), "--threads", "8", "--answers-per-thread",
+                   "6", "--topics", "3", "--vocab-per-topic", "8", "--split-sizes", "6",
+                   "0", "2", "--seed", "4") == 0
+        capsys.readouterr()
+        assert run("train", "--corpus", str(corpus), "--out", str(tmp_path / "run"),
+                   "--dev-split", "dev", *TINY_TRAIN) == 0
+        lines = capsys.readouterr().out.splitlines()
+        epochs = [line for line in lines if "dev_map=" in line]
+        assert len(epochs) == 2 and all("dev_map=- " in line for line in epochs), lines
+
     @pytest.mark.parametrize("text", ["[1, 2]", "null", "{not json", '"corpus.jsonl"'])
     def test_not_an_object_is_one_line_exit_1(self, tmp_path, capsys, text):
         rc, err = train_with_config(tmp_path, capsys, text)

@@ -3,7 +3,6 @@ import pytest
 
 from cqarank import evaluation as E
 from cqarank.data import Candidate, QuestionThread
-from cqarank import numerics as N
 from cqarank.errors import DivergenceError, EvaluationError
 
 from test_model import tiny_model
@@ -171,8 +170,7 @@ class TestRank:
     def test_non_finite_score_is_divergence(self, bad):
         class FakeModel:
             def score_candidates(self, q_tokens, candidates):
-                scores = [0.5, bad, -1.0][:len(candidates)]
-                return [N.Tensor(np.array(s)) for s in scores]
+                return np.array([0.5, bad, -1.0][:len(candidates)])
 
         with pytest.raises(DivergenceError, match="a1"):
             E.rank(make_thread("t4", 3, {0}), FakeModel())

@@ -219,6 +219,25 @@ class TestScore:
         assert s1 == s2
         assert s1 != s3
 
+    def test_entry_points_agree_bit_for_bit(self):
+        model = tiny_model(seed=21)
+        q1, q2 = [1, 2, 3, 4], [5, 6]
+        answers = [[7, 8, 9], [10], [11, 12, 13, 14, 15]]
+        with N.no_grad():
+            groups = model.score_groups([(q2, [[16, 17]]), (q1, answers), (q2, [])])
+        batched = model.score_candidates(q1, answers)
+        assert [g.shape for g in groups] == [(1,), (3,), (0,)]
+        for i, a in enumerate(answers):
+            single = model.score(q1, a)
+            assert single.shape == ()
+            assert single.item() == batched[i] == groups[1].data[i]
+
+    def test_candidate_scores_are_float64_for_a_float32_model(self):
+        model = tiny_model(seed=22, dtype="float32")
+        scores = model.score_candidates([1, 2, 3], [[4, 5], [6]])
+        assert scores.dtype == np.float64
+        assert scores.tolist() == [model.score([1, 2, 3], a).item() for a in ([4, 5], [6])]
+
 
 class TestInvariances:
     def test_word_mode_permutation_invariance(self):
