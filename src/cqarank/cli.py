@@ -240,18 +240,41 @@ def _gradcheck_report(seed: int) -> list[tuple[str, float]]:
     emb = T.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     check("embedding_lookup", lambda: (T.take_rows(emb, [1, 3, 3, 5])).sum(), [emb])
 
-    # the decomposed comparison of one scale pair of unequal widths, in train
-    # mode: every evaluation redraws the same dropout masks from a fresh rng
+    # segmented layers: sentences of 4, 1 and 3 columns side by side
+    sx = T.Tensor(rng.normal(size=(4, 8)), requires_grad=True)
+    spw = T.Tensor(rng.normal(size=(3, 8)))
+    check("conv1d(segments)", lambda: (L.conv1d(sx, cw, cb, [4, 1, 3]) * spw).sum(),
+          [sx, cw, cb])
+    smp = T.Tensor(rng.permutation(np.linspace(1.0, 2.0, 16)).reshape(2, 8), requires_grad=True)
+    smw = T.Tensor(rng.normal(size=(2, 5)))
+    check("maxpool1d(segments)", lambda: (L.maxpool1d(smp, [5, 1, 2]) * smw).sum(), [smp])
+    # runs of 3, 1 and 2 rows; the first run repeats its largest row, a tie
+    # whose gradient must reach that row once
+    seg = T.Tensor(rng.normal(size=(5, 2)) + np.array([0.0, 3.0, 0.0, 0.0, 0.0])[:, None],
+                   requires_grad=True)
+    sw = T.Tensor(rng.normal(size=(3, 2)))
+    check("segment_max",
+          lambda: (T.segment_max(T.take_rows(seg, [0, 1, 1, 2, 3, 4]), [3, 1, 2], axis=0)
+                   * sw).sum(), [seg])
+
+    # the decomposed comparison of one scale pair of unequal widths over a
+    # chunk of two answers of unequal length, with a train-mode dropout mask
     pair_model = MatchingModel(
         ModelConfig(vocab_size=20, dim=4, levels=1, channels=3, h_dim=5, hidden=6,
                     mode=ScoreMode.MULTI, dropout=0.3), np.random.default_rng(seed + 4))
     xq = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    xa = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    xw = T.Tensor(rng.normal(size=10))
+    xa = T.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+    keep = np.random.default_rng(seed + 5).random((6, 3, 6)) >= 0.3
+    xw = T.Tensor(rng.normal(size=(2, 10)))
     check("match_pair(train)",
-          lambda: (pair_model.match_pair(xq, xa, (0, 1), train=True,
-                                         rng=np.random.default_rng(seed + 5)) * xw).sum(),
+          lambda: (pair_model.match_pair(xq, xa, (0, 1), [4, 2], keep=keep) * xw).sum(),
           [xq, xa] + pair_model.pair_nets[(0, 1)].parameters())
+    # a whole train-mode call: every evaluation redraws the same masks
+    groups = [([1, 2, 3, 4, 5], [[6, 7, 8], [9], [10, 11, 12, 13]])]
+    gw = T.Tensor(rng.normal(size=3))
+    check("score_groups(train)",
+          lambda: (pair_model.score_groups(groups, True, np.random.default_rng(seed + 6))[0]
+                   * gw).sum(), pair_model.parameters())
 
     cfg = ModelConfig(vocab_size=20, dim=8, levels=1, channels=6, h_dim=8, hidden=8,
                       mode=ScoreMode.MULTI, dropout=0.0)

@@ -7,6 +7,15 @@ compared position-by-position with a two-layer network, max-pooled across
 the opposite sentence, mean-aggregated, and the concatenated match vectors
 are collapsed to one relevance score by a second two-layer head.
 
+`score_groups` builds one segment-batched graph per call. Segment layout:
+each level holds every sentence of the call side by side in one
+(width, sum of lengths) array, with the sentences' lengths kept alongside.
+Cell budget: a question's answers are compared in chunks of at most
+CELL_BUDGET (question position, answer position) cells summed over scale
+pairs, one `match_pair` per chunk and scale pair, one head pass per chunk.
+Dropout draw order: for each answer in group order, one (m, n, hidden) mask
+per scale pair, then its (1, hidden) head mask, as if scored alone.
+
 The same class serves as discriminator and generator; they differ only in
 their parameter values.
 """
@@ -49,6 +58,27 @@ def scale_pairs(mode: ScoreMode, levels: int) -> list[tuple[int, int]]:
         return [(0, 0)] + [(0, v) for v in range(1, levels + 1)] + \
                [(u, 0) for u in range(1, levels + 1)]
     return [(u, v) for u in range(levels + 1) for v in range(levels + 1)]
+
+
+# The most cells (question positions x answer positions, summed over scale
+# pairs and answers) that one comparison chunk holds. Short answers share a
+# chunk; a long one fills it alone. Unbounded, a chunk's (sum n, m, hidden)
+# arrays grow with the pool: ranking 30 answers of 5-60 tokens per question
+# then peaked at 40% more memory.
+CELL_BUDGET = 8192
+
+
+def _chunks(cells) -> list[tuple[int, int]]:
+    """Split answers with these cell counts, in order, into [lo, hi) runs
+    holding at most CELL_BUDGET cells; an answer over budget runs alone."""
+    runs, lo, held = [], 0, 0
+    for j, c in enumerate(cells):
+        if j > lo and held + c > CELL_BUDGET:
+            runs.append((lo, j))
+            lo, held = j, 0
+        held += c
+    runs.append((lo, len(cells)))
+    return runs
 
 
 def public_name(f) -> str:
@@ -136,14 +166,14 @@ class EmbeddingTable:
         return cls(matrix, trainable=True)
 
     def lookup(self, token_ids) -> Tensor:
-        """Embed a sentence: token ids -> (dim, length)."""
-        ids = list(token_ids)
-        if not ids:
+        """Embed token ids -> (dim, length)."""
+        ids = np.asarray(token_ids, dtype=np.int64)
+        if ids.size == 0:
             raise EmptyInputError("cannot embed an empty sentence")
         vocab = self.matrix.shape[0]
-        for t in ids:
-            if not 0 <= t < vocab:
-                raise VocabularyError(f"token id {t} outside vocabulary of size {vocab}")
+        outside = (ids < 0) | (ids >= vocab)
+        if outside.any():
+            raise VocabularyError(f"token id {ids[outside][0]} outside vocabulary of size {vocab}")
         return N.take_rows(self.matrix, ids).T
 
 
@@ -236,113 +266,161 @@ class MatchingModel:
 
     # -- forward -----------------------------------------------------------
 
-    def encode_batch(self, sentences, train: bool = False,
-                     rng: np.random.Generator | None = None) -> list[list[Tensor]]:
-        """Encode sentences jointly: train-mode batchnorm statistics are shared
-        across every sentence in the call. Returns one hierarchy per sentence."""
-        per_level = [[self.embedding.lookup(s) for s in sentences]]
-        for k in range(self.max_level()):
-            block = self.blocks[k]
-            convs = [block.conv(x) for x in per_level[-1]]
-            if train:
-                joint = N.concat(convs, axis=1) if len(convs) > 1 else convs[0]
-                normed = block.bn(joint, train=True)
-                outs = []
-                offset = 0
-                for c in convs:
-                    length = c.shape[1]
-                    outs.append(N.narrow(normed, 1, offset, length)
-                                if len(convs) > 1 else normed)
-                    offset += length
-            else:
-                outs = [block.bn(c, train=False) for c in convs]
-            per_level.append([N.maxpool1d(N.relu(o)) for o in outs])
-        return [[lvl[i] for lvl in per_level] for i in range(len(sentences))]
+    def encode_batch(self, sentences, train: bool = False) -> tuple[list[Tensor], list[np.ndarray]]:
+        """Encode sentences as one segment-batched array per level.
 
-    def encode(self, sentence, train: bool = False, rng=None) -> list[Tensor]:
-        return self.encode_batch([sentence], train=train, rng=rng)[0]
+        Returns (levels, lengths): levels[k] is a (width, sum of L_k) Tensor
+        holding every sentence's level-k columns side by side, in call order,
+        and lengths[k] the sentences' level-k lengths, ceil(L_{k-1}/2) each.
+        In train mode the batchnorm statistics pool over every sentence."""
+        lengths = [np.array([len(s) for s in sentences], dtype=np.int64)]
+        if lengths[0].size == 0 or lengths[0].min() == 0:
+            raise EmptyInputError("cannot encode an empty sentence or an empty batch")
+        levels = [self.embedding.lookup([t for s in sentences for t in s])]
+        for block in self.blocks[:self.max_level()]:
+            normed = block.bn(block.conv(levels[-1], lengths[-1]), train)
+            levels.append(N.maxpool1d(N.relu(normed), lengths[-1]))
+            lengths.append((lengths[-1] - 1) // 2 + 1)
+        return levels, lengths
 
-    def _dropout_rng(self, train, rng):
-        if train and self.config.dropout > 0.0 and rng is None:
-            raise ContractError("train-mode forward needs an rng for dropout")
-        return rng
+    def encode(self, sentence, train: bool = False) -> list[Tensor]:
+        """One sentence's hierarchy: a (width, L_k) Tensor per level."""
+        return self.encode_batch([sentence], train)[0]
 
-    def question_sides(self, hq: list[Tensor]) -> dict:
+    def question_sides(self, hq) -> dict:
         """What a question contributes to each scale pair's comparison,
-        whatever the answer: see `_question_side`. A question scored against
-        many answers computes these once."""
+        whatever the answer: see `_question_side`. `hq[u]` is the question's
+        level-u representation. A question scored against many answers
+        computes these once."""
         return {(u, v): self._question_side(hq[u], (u, v)) for (u, v) in self.pairs}
 
     def _question_side(self, xq: Tensor, pair: tuple[int, int]):
-        """(question rows projected by fc1 plus its bias, shaped (m, 1, hidden);
+        """(question rows projected by fc1 plus its bias, shaped (m, hidden);
         fc1's answer rows; fc2's bias repeated for both summaries)."""
         net = self.pair_nets[pair]
         wq, width = xq.shape[0], net.fc1.weight.shape[0]
-        projected = xq.T @ N.narrow(net.fc1.weight, 0, 0, wq) + net.fc1.bias
-        return (projected.reshape((xq.shape[1], 1, -1)),
+        return (xq.T @ N.narrow(net.fc1.weight, 0, 0, wq) + net.fc1.bias,
                 N.narrow(net.fc1.weight, 0, wq, width - wq),
                 N.concat([net.fc2.bias, net.fc2.bias], axis=0))
 
-    def match_pair(self, xq: Tensor, xa: Tensor, pair: tuple[int, int],
-                   train: bool = False, rng=None, q_side=None) -> Tensor:
-        """Compare all position pairs of two representations; returns the
-        concatenated per-sentence summaries, length 2*h_dim.
+    def match_pair(self, xq: Tensor, xa: Tensor, pair: tuple[int, int], lengths=None,
+                   q_side=None, keep: np.ndarray | None = None) -> Tensor:
+        """Compare a question with a chunk of answers at one scale pair.
+
+        xq is the question's (width_u, m) representation; xa holds the
+        answers' (width_v, n_j) representations side by side and `lengths`
+        their n_j (one answer when None). Returns one row per answer,
+        (J, 2*h_dim): the mean over question positions of the max over the
+        answer's positions, then the mean over the answer's positions of the
+        max over question positions.
 
         fc1([q_i; a_j]) = q_i W_q + a_j W_a + b1 is formed by broadcasting the
-        two projected sides over an (m, n, hidden) array, and fc2's bias is
-        added after the max-pools, since max_j(z_ij + b2) = max_j z_ij + b2,
-        so no (m*n, wq+wa) pair matrix is built. `q_side` is the pair's entry
-        of `question_sides(hq)`, computed here when not given."""
+        two projected sides over a (sum n_j, m, hidden) array, answer-major so
+        that each answer's rows are one block, and fc2's bias is added after
+        the max-pools, since max_j(z_ij + b2) = max_j z_ij + b2; no pair matrix
+        of width wq+wa is built. Products over answer rows are taken answer by
+        answer (`matmul`'s `rows`), so an answer's result does not depend on
+        its chunk. `q_side` is the pair's entry of `question_sides(hq)`,
+        computed here when not given; `keep` is a train-mode dropout mask
+        shaped like the hidden array."""
         net = self.pair_nets[pair]
-        m, n = xq.shape[1], xa.shape[1]
+        m, total = xq.shape[1], xa.shape[1]
         if xq.shape[0] + xa.shape[0] != net.fc1.weight.shape[0]:
             raise ConfigError(
                 f"pair {pair} expects input width {net.fc1.weight.shape[0]}, "
                 f"got {xq.shape[0] + xa.shape[0]}"
             )
+        lengths = np.array([total] if lengths is None else lengths, dtype=np.int64)
         q_proj, w_a, b2 = q_side if q_side is not None else self._question_side(xq, pair)
-        hidden = N.relu(q_proj + xa.T @ w_a)  # (m, n, hidden)
-        hidden = N.dropout(hidden, self.config.dropout, train, self._dropout_rng(train, rng))
-        z = (hidden.reshape((m * n, -1)) @ net.fc2.weight).reshape((m, n, self.config.h_dim))
-        h_q = N.reduce_max(z, axis=1).mean(axis=0)  # max over answer positions
-        h_a = N.reduce_max(z, axis=0).mean(axis=0)  # max over question positions
-        return N.concat([h_q, h_a], axis=0) + b2
-
-    def score_from_hierarchies(self, hq: list[Tensor], ha: list[Tensor], sides: dict,
-                               train: bool = False, rng=None) -> Tensor:
-        """One answer's score, shaped (1,); `sides` is `question_sides(hq)`."""
-        vecs = [self.match_pair(hq[u], ha[v], (u, v), train, rng, sides[(u, v)])
-                for (u, v) in self.pairs]
-        feats = N.concat(vecs, axis=0).reshape((1, -1))
-        hidden = N.relu(self.agg1(feats))
-        hidden = N.dropout(hidden, self.config.dropout, train, self._dropout_rng(train, rng))
-        return self.agg2(hidden).reshape((1,))
+        a_proj = N.matmul(xa.T, w_a, lengths).reshape((total, 1, -1))
+        hidden = N.relu(q_proj + a_proj)  # (sum n_j, m, hidden)
+        if keep is not None:
+            hidden = N.apply_dropout(hidden, keep, self.config.dropout)
+        z = N.matmul(hidden.reshape((total * m, -1)), net.fc2.weight,
+                     lengths * m).reshape((total, m, -1))
+        h_q = N.segment_max(z, lengths, axis=0).mean(axis=1)  # max over each answer's positions
+        h_a = N.segment_mean(N.reduce_max(z, axis=1), lengths, axis=0)  # max over question positions
+        return N.concat([h_q, h_a], axis=1) + b2
 
     def score_groups(self, groups, train: bool = False, rng=None) -> list[Tensor]:
         """The one scoring entry point: each (question tokens, [answer tokens...])
         group's answer scores, as one (n,) Tensor per group.
 
-        Every sentence of the call is encoded jointly, so in train mode the
-        batchnorm statistics pool over all of them; each question's side of
-        every scale pair is projected once. Dropout draws follow group and
-        answer order: one mask per comparison, then the head's. A group
-        without answers gets an empty vector."""
-        sentences = []
-        for q_tokens, answers in groups:
-            sentences.append(q_tokens)
-            sentences.extend(answers)
-        hierarchies = self.encode_batch(sentences, train=train, rng=rng)
+        One segment-batched graph per call. Every sentence is encoded at once,
+        so in train mode the batchnorm statistics pool over all of them; each
+        question's side of every scale pair is projected once. A question's
+        answers are compared in chunks, in order, of at most CELL_BUDGET cells
+        (an answer over budget makes a chunk alone): one `match_pair` per chunk
+        and scale pair, then one pass of the aggregation head over the chunk's
+        (J, 2*h_dim*pairs) features. Dropout draws follow group and answer
+        order, as if each answer were scored alone: its (m_u, n_v, hidden) mask
+        for every scale pair, then its (1, hidden) head mask; a chunk's masks
+        are concatenated and applied with `N.apply_dropout`. A group without
+        answers gets an empty vector."""
+        groups = [(q_tokens, list(answers)) for q_tokens, answers in groups]
+        if not groups:
+            return []
+        if train and self.config.dropout > 0.0 and rng is None:
+            raise ContractError("train-mode forward needs an rng for dropout")
+        levels, lengths = self.encode_batch(
+            [s for q_tokens, answers in groups for s in [q_tokens, *answers]], train)
+        offsets = [np.cumsum(n) - n for n in lengths]
+
+        def columns(level, lo, hi):
+            """Sentences lo..hi-1's level columns, one narrow."""
+            start = offsets[level][lo]
+            return N.narrow(levels[level], 1, start, offsets[level][hi - 1]
+                            + lengths[level][hi - 1] - start)
+
         scores = []
-        cursor = 0
+        first = 0  # the group's question, indexing the call's sentences
         for _, answers in groups:
-            hq = hierarchies[cursor]
+            n = len(answers)
+            if n == 0:
+                scores.append(Tensor(np.zeros(0, self.config.np_dtype)))
+                first += 1
+                continue
+            hq = {u: columns(u, first, first + 1) for u in {u for u, _ in self.pairs}}
             sides = self.question_sides(hq)
-            heads = [self.score_from_hierarchies(hq, ha, sides, train, rng)
-                     for ha in hierarchies[cursor + 1:cursor + 1 + len(answers)]]
-            scores.append(N.concat(heads, axis=0) if heads
-                          else Tensor(np.zeros(0, self.config.np_dtype)))
-            cursor += 1 + len(answers)
+            m = {u: lengths[u][first] for u in hq}
+            answer_lengths = [n_v[first + 1:first + 1 + n] for n_v in lengths]
+            cells = sum(m[u] * answer_lengths[v] for u, v in self.pairs)
+            vecs = []
+            for lo, hi in _chunks(cells):
+                pair_keep, head_keep = self._dropout_masks(train, rng, m, answer_lengths, lo, hi)
+                xa = {v: columns(v, first + 1 + lo, first + 1 + hi)
+                      for v in {v for _, v in self.pairs}}
+                feats = [self.match_pair(hq[u], xa[v], (u, v), answer_lengths[v][lo:hi],
+                                         sides[(u, v)], keep)
+                         for (u, v), keep in zip(self.pairs, pair_keep)]
+                each = np.ones(hi - lo, dtype=np.int64)
+                hidden = N.relu(self.agg1(N.concat(feats, axis=1), each))
+                if head_keep is not None:
+                    hidden = N.apply_dropout(hidden, head_keep, self.config.dropout)
+                vecs.append(self.agg2(hidden, each).reshape((hi - lo,)))
+            scores.append(N.concat(vecs, axis=0) if len(vecs) > 1 else vecs[0])
+            first += 1 + n
         return scores
+
+    def _dropout_masks(self, train, rng, m, answer_lengths, lo, hi):
+        """Answers lo..hi-1's train-mode dropout masks, drawn answer by answer
+        as `N.dropout` would draw them: each answer's (m_u, n_v, hidden) block
+        for every scale pair, then its (1, hidden) head block. Returns one
+        (sum n_v, m_u, hidden) mask per pair, answer-major like `match_pair`'s
+        hidden array, and the (J, hidden) head mask, or Nones when no dropout
+        applies."""
+        rate = self.config.dropout
+        if not train or rate == 0.0:
+            return [None] * len(self.pairs), None
+        width = self.config.hidden
+        pair_keep, head_keep = [[] for _ in self.pairs], []
+        for j in range(lo, hi):
+            for keep, (u, v) in zip(pair_keep, self.pairs):
+                keep.append((rng.random((m[u], answer_lengths[v][j], width)) >= rate)
+                            .transpose(1, 0, 2))
+            head_keep.append(rng.random((1, width)) >= rate)
+        return ([np.concatenate(keep, axis=0) for keep in pair_keep],
+                np.concatenate(head_keep, axis=0))
 
     def score(self, q_tokens, a_tokens, train: bool = False, rng=None) -> Tensor:
         """One answer's score, a 0-d Tensor."""

@@ -1,8 +1,11 @@
 """Layer primitives for the matching model.
 
-Convolution and pooling operate on (channels, length) tensors, one sentence
-at a time. Pooling geometry is window 3 / stride 2 / zero pad 1, which gives
-output length ceil(L/2) and a 5-token receptive field after the first block.
+Convolution and pooling operate on (channels, length) tensors. The length
+axis may hold several sentences side by side, given as segment lengths;
+each segment is zero-padded at its own edges, so a segment's output is what
+it would be alone. Pooling geometry is window 3 / stride 2 / zero pad 1,
+which gives output length ceil(L/2) per segment and a 5-token receptive
+field after the first block.
 """
 
 from __future__ import annotations
@@ -10,72 +13,88 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, EmptyInputError, ShapeError
-from .tensor import Tensor, _make
+from .tensor import Tensor, _make, matmul, row_block_product, segment_lengths
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Cross-correlation over the length axis, stride 1, same-length zero pad.
-
-    x: (c_in, L), w: (c_out, c_in, k) with odd k, b: (c_out,) -> (c_out, L).
-    """
+def _segments(x: Tensor, lengths, what: str) -> np.ndarray:
+    """The segment lengths of a (channels, length) input; one segment
+    spanning the length axis when `lengths` is None."""
     if x.ndim != 2:
-        raise ShapeError(f"conv1d expects (channels, length), got {x.shape}")
+        raise ShapeError(f"{what} expects (channels, length), got {x.shape}")
+    return segment_lengths([x.shape[1]] if lengths is None else lengths, x.shape[1], what)
+
+
+def _pad_segments(data: np.ndarray, lengths: np.ndarray, pad: int):
+    """`data` with `pad` zero columns before each segment and after the last
+    (a gap between two segments pads both); also each data column's index in
+    the padded copy."""
+    segment = np.repeat(np.arange(lengths.size), lengths)
+    cols = np.arange(data.shape[1]) + pad * (segment + 1)
+    padded = np.zeros((data.shape[0], data.shape[1] + pad * (lengths.size + 1)), dtype=data.dtype)
+    padded[:, cols] = data
+    return padded, cols
+
+
+def conv1d(x: Tensor, w: Tensor, b: Tensor, lengths=None) -> Tensor:
+    """Cross-correlation over the length axis, stride 1, same-length zero pad
+    at every segment's edges.
+
+    x: (c_in, L), w: (c_out, c_in, k) with odd k, b: (c_out,) -> (c_out, L);
+    `lengths` splits L into segments (default: one).
+    """
+    lengths = _segments(x, lengths, "conv1d")
     c_in, length = x.shape
-    if length == 0:
-        raise EmptyInputError("conv1d on a zero-length sequence")
     c_out, c_in_w, k = w.shape
     if c_in_w != c_in:
         raise ShapeError(f"conv1d: input has {c_in} channels, kernel expects {c_in_w}")
     pad = k // 2
-    xp = np.zeros((c_in, length + 2 * pad), dtype=x.data.dtype)
-    xp[:, pad:pad + length] = x.data
-    # patches[t] = flattened window starting at t: (L, c_in*k)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)  # (c_in, L, k)
-    patches = windows.transpose(1, 0, 2).reshape(length, c_in * k)
+    xp, cols = _pad_segments(x.data, lengths, pad)
+    starts = cols - pad  # each output's window start in the padded copy
+    # patches[t] = flattened window of output t: (L, c_in*k)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)  # (c_in, Lp-k+1, k)
+    patches = windows.transpose(1, 0, 2)[starts].reshape(length, c_in * k)
     w_flat = w.data.reshape(c_out, c_in * k)
-    data = (patches @ w_flat.T + b.data).T.copy()  # (c_out, L)
+    # a product per segment gives each sentence the bits it gets alone
+    data = (row_block_product(patches, w_flat.T, lengths) + b.data).T.copy()  # (c_out, L)
 
     def backward(g):
         gy = g.T  # (L, c_out)
         gw = (gy.T @ patches).reshape(w.shape)
         gb = gy.sum(axis=0)
-        gp = gy @ w_flat  # (L, c_in*k)
+        gpk = (gy @ w_flat).reshape(length, c_in, k)
         gxp = np.zeros_like(xp)
-        gpk = gp.reshape(length, c_in, k)
         for j in range(k):
-            gxp[:, j:j + length] += gpk[:, :, j].T
-        return gxp[:, pad:pad + length], gw, gb
+            gxp[:, starts + j] += gpk[:, :, j].T
+        return gxp[:, cols], gw, gb
 
     return _make(data, (x, w, b), backward)
 
 
-def maxpool1d(x: Tensor) -> Tensor:
-    """Windowed max, window 3 / stride 2 / zero pad 1: (C, L) -> (C, ceil(L/2)).
+def maxpool1d(x: Tensor, lengths=None) -> Tensor:
+    """Windowed max, window 3 / stride 2 / zero pad 1 within each segment:
+    (C, L) -> (C, sum of ceil(L_i/2)); `lengths` splits L into segments
+    (default: one).
 
     Backward routes each window's gradient to its first argmax; gradient
     landing on a pad frame is dropped.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"maxpool1d expects (channels, length), got {x.shape}")
-    channels, length = x.shape
-    if length == 0:
-        raise EmptyInputError("maxpool1d on a zero-length sequence")
-    out_len = (length - 1) // 2 + 1
-    xp = np.zeros((channels, length + 2), dtype=x.data.dtype)
-    xp[:, 1:1 + length] = x.data
-    starts = 2 * np.arange(out_len)
+    lengths = _segments(x, lengths, "maxpool1d")
+    channels = x.shape[0]
+    xp, cols = _pad_segments(x.data, lengths, 1)
+    # a window opens left of every other column of a segment, from its first
+    within = np.arange(x.shape[1]) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    starts = cols[within % 2 == 0] - 1
     windows = np.lib.stride_tricks.sliding_window_view(xp, 3, axis=1)[:, starts]  # (C, out, 3)
     data = windows.max(axis=2)
-    argmax = windows.argmax(axis=2)  # offset within window
 
     def backward(g):
         gxp = np.zeros_like(xp)
-        cols = starts[None, :] + argmax  # absolute padded index
-        np.add.at(gxp, (np.arange(channels)[:, None], cols), g)
-        return (gxp[:, 1:1 + length],)
+        at = starts[None, :] + windows.argmax(axis=2)  # absolute padded index
+        np.add.at(gxp, (np.arange(channels)[:, None], at), g)
+        return (gxp[:, cols],)
 
     return _make(data, (x,), backward)
 
@@ -83,13 +102,18 @@ def maxpool1d(x: Tensor) -> Tensor:
 def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: kept values scaled by 1/(1-rate); identity in eval.
 
-    One `rng.random(x.shape)` draw decides which values are kept; the graph
-    holds that boolean mask and one scalar, not a float mask."""
+    One `rng.random(x.shape)` draw decides which values are kept."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
-    keep = rng.random(x.shape) >= rate
+    return apply_dropout(x, rng.random(x.shape) >= rate, rate)
+
+
+def apply_dropout(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
+    """Inverted dropout under a given boolean mask shaped like x: values
+    where `keep` is false are zeroed, the rest scaled by 1/(1-rate). The
+    graph holds the boolean mask and one scalar, not a float mask."""
     scale = 1.0 / (1.0 - rate)
     data = x.data * keep
     data *= scale
@@ -172,8 +196,9 @@ class Linear:
         )
         self.bias = Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+    def __call__(self, x: Tensor, rows=None) -> Tensor:
+        """`rows`: see `matmul`."""
+        return matmul(x, self.weight, rows) + self.bias
 
     def parameters(self):
         return [self.weight, self.bias]
@@ -191,8 +216,8 @@ class Conv1d:
         )
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv1d(x, self.weight, self.bias)
+    def __call__(self, x: Tensor, lengths=None) -> Tensor:
+        return conv1d(x, self.weight, self.bias, lengths)
 
     def parameters(self):
         return [self.weight, self.bias]

@@ -233,15 +233,32 @@ def mul(a, b):
     return _make(data, (a, b), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, rows=None) -> Tensor:
+    """a @ b for 2-d tensors. `rows`, the lengths of consecutive blocks of
+    a's rows, takes each block's product in a call of its own, so a block's
+    result has the bits it would have alone: BLAS rounding varies with the
+    row count. The backward takes whole products."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    data = a.data @ b.data
+    if rows is None:
+        data = a.data @ b.data
+    else:
+        data = row_block_product(a.data, b.data, segment_lengths(rows, a.shape[0], "matmul"))
 
     def backward(g):
         return g @ b.data.T, a.data.T @ g
 
     return _make(data, (a, b), backward)
+
+
+def row_block_product(a: np.ndarray, b: np.ndarray, rows) -> np.ndarray:
+    """a @ b, each block of consecutive `rows` of a multiplied by a call of
+    its own."""
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    ends = np.cumsum(rows)
+    for start, end in zip(ends - rows, ends):
+        np.matmul(a[start:end], b, out=out[start:end])
+    return out
 
 
 def log(x: Tensor) -> Tensor:
@@ -431,11 +448,63 @@ def reduce_max(x: Tensor, axis: int) -> Tensor:
     """Max along an axis; ties route the gradient to the first argmax."""
     _check_axis(x, axis)
     data = x.data.max(axis=axis)
-    argmax = np.expand_dims(x.data.argmax(axis=axis), axis)
+
+    def backward(g):
+        argmax = np.expand_dims(x.data.argmax(axis=axis), axis)
+        full = np.zeros_like(x.data)
+        np.put_along_axis(full, argmax, np.expand_dims(g, axis), axis=axis)
+        return (full,)
+
+    return _make(data, (x,), backward)
+
+
+def segment_lengths(lengths, total: int, what: str) -> np.ndarray:
+    """`lengths` of consecutive segments as int64, each positive, summing to
+    `total`."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
+        raise EmptyInputError(f"{what} needs positive segment lengths, got {lengths}")
+    if lengths.sum() != total:
+        raise ShapeError(f"{what}: segment lengths sum to {lengths.sum()}, not {total}")
+    return lengths
+
+
+def _runs(x: Tensor, lengths, axis: int, what: str):
+    """(lengths, one index per run) for runs of consecutive `lengths` entries
+    along `axis`; a per-run loop of numpy reductions is several times faster
+    than `ufunc.reduceat` on these shapes."""
+    lengths = segment_lengths(lengths, x.shape[axis], what)
+    head = (slice(None),) * (axis % x.ndim)
+    return lengths, [head + (slice(s, s + n),) for s, n in zip(np.cumsum(lengths) - lengths, lengths)]
+
+
+def segment_mean(x: Tensor, lengths, axis: int) -> Tensor:
+    """Mean over each run of consecutive `lengths` entries along `axis`; each
+    run has the bits `reduce_mean` gives it alone."""
+    lengths, runs = _runs(x, lengths, axis, "segment_mean")
+    data = np.concatenate([x.data[r].mean(axis=axis, keepdims=True) for r in runs], axis=axis)
+    at = [1] * x.ndim
+    at[axis] = -1
+    counts = lengths.reshape(at).astype(x.dtype)
+
+    def backward(g):
+        return (np.repeat(g / counts, lengths, axis=axis),)
+
+    return _make(data, (x,), backward)
+
+
+def segment_max(x: Tensor, lengths, axis: int) -> Tensor:
+    """Max over each run of consecutive `lengths` entries along `axis`; the
+    result has one entry per run there. Ties route the gradient to each run's
+    first argmax."""
+    lengths, runs = _runs(x, lengths, axis, "segment_max")
+    data = np.concatenate([x.data[r].max(axis=axis, keepdims=True) for r in runs], axis=axis)
 
     def backward(g):
         full = np.zeros_like(x.data)
-        np.put_along_axis(full, argmax, np.expand_dims(g, axis), axis=axis)
+        for j, r in enumerate(runs):
+            argmax = np.expand_dims(x.data[r].argmax(axis=axis), axis)
+            np.put_along_axis(full[r], argmax, g.take([j], axis=axis), axis=axis)
         return (full,)
 
     return _make(data, (x,), backward)

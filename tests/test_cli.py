@@ -428,8 +428,9 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         for name in ("matmul", "conv1d", "batchnorm1d(train)", "relu", "sigmoid",
                      "log_softmax", "maxpool1d", "reduce_mean", "reduce_max", "concat",
-                     "embedding_lookup", "match_pair(train)", "score_multi_scale",
-                     "discriminator_loss", "generator_surrogate"):
+                     "embedding_lookup", "conv1d(segments)", "maxpool1d(segments)",
+                     "segment_max", "match_pair(train)", "score_groups(train)",
+                     "score_multi_scale", "discriminator_loss", "generator_surrogate"):
             assert name in out
         assert "FAIL" not in out
 
@@ -439,8 +440,8 @@ class TestGradcheckCommand:
 
         real = layers.conv1d
 
-        def corrupted(x, w, b):
-            out = real(x, w, b)
+        def corrupted(*args):
+            out = real(*args)
             real_backward = out._backward
             if real_backward is not None:
                 out._backward = lambda g: tuple(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import cqarank.numerics as N
-from cqarank.errors import ConfigError, EmptyInputError
+from cqarank.errors import ConfigError, EmptyInputError, ShapeError
 
 from cqarank.numerics.tensor import _make
 from test_tensor import finite_diff, rel_err
@@ -62,6 +62,47 @@ class TestConv1d:
         assert rel_err(b.grad, num_b) <= 1e-6
 
 
+    def test_segments_get_the_bits_they_get_alone(self):
+        rng = np.random.default_rng(43)
+        w, b = self._params(rng, 3, 2)
+        lengths = [4, 1, 6, 2]
+        x = rng.normal(size=(3, 13))
+        out = N.conv1d(N.Tensor(x), w, b, lengths).data
+        start = 0
+        for n in lengths:
+            alone = N.conv1d(N.Tensor(x[:, start:start + n].copy()), w, b).data
+            assert out[:, start:start + n].tobytes() == alone.tobytes()
+            start += n
+
+    def test_segment_gradients_match_separate_sentences(self):
+        rng = np.random.default_rng(44)
+        w, b = self._params(rng, 3, 2)
+        lengths = [2, 1, 4]
+        x = N.Tensor(rng.normal(size=(3, 7)), requires_grad=True)
+        proj = rng.normal(size=(2, 7))
+        (N.conv1d(x, w, b, lengths) * N.Tensor(proj)).sum().backward()
+        joint = x.grad.copy(), w.grad.copy(), b.grad.copy()
+        w.zero_grad()
+        b.zero_grad()
+        parts, start = [], 0
+        for n in lengths:
+            part = N.Tensor(x.data[:, start:start + n].copy(), requires_grad=True)
+            (N.conv1d(part, w, b) * N.Tensor(proj[:, start:start + n])).sum().backward()
+            parts.append(part.grad)
+            start += n
+        assert np.allclose(joint[0], np.concatenate(parts, axis=1), atol=1e-12)
+        assert np.allclose(joint[1], w.grad, atol=1e-12)
+        assert np.allclose(joint[2], b.grad, atol=1e-12)
+
+    def test_segment_lengths_must_cover_the_input(self):
+        rng = np.random.default_rng(45)
+        w, b = self._params(rng, 3, 2)
+        with pytest.raises(ShapeError):
+            N.conv1d(N.Tensor(np.zeros((3, 5))), w, b, [2, 2])
+        with pytest.raises(EmptyInputError):
+            N.conv1d(N.Tensor(np.zeros((3, 5))), w, b, [5, 0])
+
+
 class TestMaxPool1d:
     def test_hand_windows(self):
         out = N.maxpool1d(N.Tensor([[1.0, 2.0, 3.0, 4.0, 5.0]]))
@@ -96,6 +137,25 @@ class TestMaxPool1d:
         (num,) = finite_diff(loss, [x.data])
         (N.maxpool1d(x) * N.Tensor(proj)).sum().backward()
         assert rel_err(x.grad, num) <= 1e-6
+
+
+    def test_segments_pool_as_they_would_alone(self):
+        rng = np.random.default_rng(10)
+        lengths = [5, 1, 2, 3]
+        x = N.Tensor(rng.normal(size=(2, 11)), requires_grad=True)
+        out = N.maxpool1d(x, lengths)
+        assert out.shape == (2, 3 + 1 + 1 + 2)
+        proj = rng.normal(size=out.shape)
+        (out * N.Tensor(proj)).sum().backward()
+        start = out_start = 0
+        for n in lengths:
+            part = N.Tensor(x.data[:, start:start + n].copy(), requires_grad=True)
+            alone = N.maxpool1d(part)
+            k = alone.shape[1]
+            assert np.array_equal(out.data[:, out_start:out_start + k], alone.data)
+            (alone * N.Tensor(proj[:, out_start:out_start + k])).sum().backward()
+            assert np.array_equal(x.grad[:, start:start + n], part.grad)
+            start, out_start = start + n, out_start + k
 
 
 class TestBatchNorm:

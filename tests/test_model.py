@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cqarank.model as model_module
 import cqarank.numerics as N
 from cqarank.data import Vocabulary
 from cqarank.errors import ConfigError, EmptyInputError, ParseError, VocabularyError
@@ -114,7 +115,8 @@ class TestMatchPair:
 
     def test_unequal_widths_with_shared_question_side(self):
         # a word-to-ngram pair: dim 6 question rows, 5-channel answer rows,
-        # with the question side projected once and reused for two answers
+        # with the question side projected once and reused for a chunk of
+        # two answers side by side
         model = tiny_model(seed=4)
         for b in (model.pair_nets[(0, 1)].fc1.bias, model.pair_nets[(0, 1)].fc2.bias):
             b.data[...] = np.random.default_rng(1).normal(size=b.shape)
@@ -122,22 +124,28 @@ class TestMatchPair:
         hq = model.encode([1, 2, 3, 4])
         xq = hq[0]
         side = model.question_sides(hq)[(0, 1)]
-        for n in (3, 1):
-            xa = N.Tensor(rng.normal(size=(5, n)))
-            out = model.match_pair(xq, xa, (0, 1), q_side=side)
-            expected = self.brute_force(xq.data, xa.data, model.pair_nets[(0, 1)])
-            assert np.max(np.abs(out.data - expected)) <= 1e-12
+        answers = [rng.normal(size=(5, n)) for n in (3, 1)]
+        out = model.match_pair(xq, N.Tensor(np.concatenate(answers, axis=1)), (0, 1),
+                               [3, 1], q_side=side)
+        assert out.shape == (2, 8)
+        for row, xa in zip(out.data, answers):
+            expected = self.brute_force(xq.data, xa, model.pair_nets[(0, 1)])
+            assert np.max(np.abs(row - expected)) <= 1e-12
 
     def test_train_mode_draws_one_pair_mask_in_row_order(self):
+        # score_groups draws an answer's (m, n, hidden) block and hands it to
+        # match_pair answer-major, as (n, m, hidden): pair (i, j) keeps the
+        # multipliers of row i*n+j of the draw
         rate = 0.4
         model = tiny_model(seed=3, levels=0, mode=ScoreMode.WORD, dropout=rate)
         rng = np.random.default_rng(6)
         xq = N.Tensor(rng.normal(size=(6, 3)))
         xa = N.Tensor(rng.normal(size=(6, 4)))
-        out = model.match_pair(xq, xa, (0, 0), train=True, rng=np.random.default_rng(12))
+        keep = np.random.default_rng(12).random((3, 4, 7)) >= rate
+        out = model.match_pair(xq, xa, (0, 0), keep=keep.transpose(1, 0, 2))
         mask = (np.random.default_rng(12).random((12, 7)) >= rate) / (1.0 - rate)
         expected = self.brute_force(xq.data, xa.data, model.pair_nets[(0, 0)], mask)
-        assert np.max(np.abs(out.data - expected)) <= 1e-12
+        assert np.max(np.abs(out.data[0] - expected)) <= 1e-12
 
     def test_width_mismatch_is_config_error(self):
         model = tiny_model(seed=4)
@@ -171,7 +179,7 @@ class TestMatchPair:
         dup = np.concatenate([xa, xa[:, :1]], axis=1)
         out2 = model.match_pair(xq, N.Tensor(dup), (0, 0))
         h = model.config.h_dim
-        assert np.allclose(out1.data[:h], out2.data[:h], atol=1e-12)
+        assert np.allclose(out1.data[0, :h], out2.data[0, :h], atol=1e-12)
 
 
 class TestScore:
@@ -237,6 +245,132 @@ class TestScore:
         scores = model.score_candidates([1, 2, 3], [[4, 5], [6]])
         assert scores.dtype == np.float64
         assert scores.tolist() == [model.score([1, 2, 3], a).item() for a in ([4, 5], [6])]
+
+
+def reference_scores(model, groups, rng=None):
+    """Each answer's score from numpy loops, one sentence and one answer at a
+    time. With `rng`, train mode: batchnorm statistics pool over every
+    sentence of the call, and each answer draws an (m, n, hidden) mask per
+    scale pair, then a (1, hidden) head mask, in order."""
+    train = rng is not None
+    rate, width = model.config.dropout, model.config.hidden
+    sentences = [s for q, answers in groups for s in [q, *answers]]
+    hier = [[model.embedding.matrix.data[list(s)].T] for s in sentences]
+    for block in model.blocks[:model.max_level()]:
+        w, b, bn = block.conv.weight.data, block.conv.bias.data, block.bn
+        convs = []
+        for h in hier:
+            xp = np.pad(h[-1], ((0, 0), (1, 1)))
+            convs.append(np.stack([np.einsum("oik,ik->o", w, xp[:, t:t + 3])
+                                   for t in range(h[-1].shape[1])], axis=1) + b[:, None])
+        if train:
+            joint = np.concatenate(convs, axis=1)
+            mean, var = joint.mean(axis=1), joint.var(axis=1)
+        else:
+            mean, var = bn.running_mean, bn.running_var
+        for h, c in zip(hier, convs):
+            y = bn.gamma.data[:, None] * (c - mean[:, None]) / np.sqrt(var[:, None] + bn.eps) \
+                + bn.beta.data[:, None]
+            yp = np.pad(np.maximum(y, 0.0), ((0, 0), (1, 1)))
+            h.append(np.stack([yp[:, 2 * t:2 * t + 3].max(axis=1)
+                               for t in range((c.shape[1] + 1) // 2)], axis=1))
+    scores, first = [], 0
+    for _, answers in groups:
+        hq, out = hier[first], []
+        for ha in hier[first + 1:first + 1 + len(answers)]:
+            feats = []
+            for (u, v) in model.pairs:
+                net = model.pair_nets[(u, v)]
+                m, n = hq[u].shape[1], ha[v].shape[1]
+                rows = np.concatenate([np.repeat(hq[u].T, n, axis=0), np.tile(ha[v].T, (m, 1))],
+                                      axis=1)  # row i*n+j pairs q_i with a_j
+                hidden = np.maximum(rows @ net.fc1.weight.data + net.fc1.bias.data, 0.0)
+                if train:
+                    hidden = hidden * (rng.random((m, n, width)) >= rate).reshape(m * n, width) \
+                        / (1.0 - rate)
+                z = (hidden @ net.fc2.weight.data + net.fc2.bias.data).reshape(m, n, -1)
+                feats += [z.max(axis=1).mean(axis=0), z.max(axis=0).mean(axis=0)]
+            top = np.maximum(np.concatenate(feats) @ model.agg1.weight.data
+                             + model.agg1.bias.data, 0.0)
+            if train:
+                top = top * (rng.random((1, width)) >= rate)[0] / (1.0 - rate)
+            out.append((top @ model.agg2.weight.data + model.agg2.bias.data)[0])
+        scores.append(np.array(out))
+        first += 1 + len(answers)
+    return scores
+
+
+def graph_size(root) -> int:
+    """Distinct tensors reachable from `root` through recorded parents."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestScoreGroups:
+    def groups(self, seed=0, lengths=((4, [3, 1, 9]), (2, []), (7, [1, 12]))):
+        rng = np.random.default_rng(seed)
+        return [([int(t) for t in rng.integers(1, 30, size=q)],
+                 [[int(t) for t in rng.integers(1, 30, size=n)] for n in answers])
+                for q, answers in lengths]
+
+    @pytest.mark.parametrize("mode", list(ScoreMode))
+    def test_eval_and_train_match_per_answer_reference(self, mode):
+        model = tiny_model(seed=31, mode=mode, dropout=0.3)
+        groups = self.groups()
+        model.encode_batch([[1, 2, 3, 4], [5, 6]], train=True)  # non-trivial running stats
+        with N.no_grad():
+            got = model.score_groups(groups)
+        for g, want in zip(got, reference_scores(model, groups)):
+            assert g.shape == want.shape
+            assert np.max(np.abs(g.data - want), initial=0.0) <= 1e-12
+        got = model.score_groups(groups, train=True, rng=np.random.default_rng(7))
+        for g, want in zip(got, reference_scores(model, groups, np.random.default_rng(7))):
+            assert np.max(np.abs(g.data - want), initial=0.0) <= 1e-12
+
+    def test_train_mode_draws_each_answers_masks_in_order(self):
+        model = tiny_model(seed=32, dropout=0.3)
+        groups = self.groups(seed=1)
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        model.score_groups(groups, train=True, rng=rng)
+        reference_scores(model, groups, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_over_budget_group_scores_as_one_chunk(self, monkeypatch, train):
+        # 30-token question and answers: about 2.3k cells per answer, so the
+        # default budget makes chunks of three; budget 1 makes one per answer
+        model = tiny_model(seed=33, dropout=0.3)
+        groups = self.groups(seed=2, lengths=((30, [30, 28, 31, 30, 29, 30, 1, 30]),))
+        compare, calls = model.match_pair, []
+        monkeypatch.setattr(model, "match_pair", lambda *a: calls.append(a) or compare(*a))
+        runs = {}
+        for budget in (1, model_module.CELL_BUDGET, 10 ** 9):
+            monkeypatch.setattr(model_module, "CELL_BUDGET", budget)
+            calls.clear()
+            with N.no_grad():
+                (scores,) = model.score_groups(groups, train, np.random.default_rng(9))
+            runs[budget] = (scores.data, len(calls) // len(model.pairs))
+        assert [chunks for _, chunks in runs.values()] == [8, 3, 1]
+        for scores, _ in runs.values():
+            assert np.max(np.abs(scores - runs[10 ** 9][0])) <= 1e-12
+
+    def test_graph_does_not_grow_with_short_answers(self):
+        model = tiny_model(seed=34, dropout=0.2)
+
+        def nodes(count):
+            rng = np.random.default_rng(count)
+            answers = [[int(t) for t in rng.integers(1, 30, size=int(rng.integers(2, 6)))]
+                       for _ in range(count)]
+            (scores,) = model.score_groups([([1, 2, 3, 4, 5], answers)], train=True,
+                                           rng=np.random.default_rng(3))
+            return graph_size(scores.sum())
+
+        assert nodes(5) == nodes(25)
 
 
 class TestInvariances:

@@ -39,6 +39,21 @@ class TestMatmul:
         out = N.matmul(N.Tensor([[1.0, 2.0]]), N.Tensor([[3.0], [4.0]]))
         assert np.array_equal(out.data, [[11.0]])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_blocks_have_the_bits_they_get_alone(self, dtype):
+        rng = np.random.default_rng(5)
+        rows = [3, 1, 7, 2]
+        a = rng.normal(size=(13, 40)).astype(dtype)
+        b = N.Tensor(rng.normal(size=(40, 7)).astype(dtype))
+        out = N.matmul(N.Tensor(a), b, rows).data
+        start = 0
+        for n in rows:
+            alone = N.matmul(N.Tensor(a[start:start + n].copy()), b).data
+            assert out[start:start + n].tobytes() == alone.tobytes()
+            start += n
+        with pytest.raises(ShapeError):
+            N.matmul(N.Tensor(a), b, [3, 1])
+
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             N.matmul(N.Tensor(np.zeros((2, 3))), N.Tensor(np.zeros((2, 3))))
@@ -147,6 +162,31 @@ class TestReductionsAndShapes:
         x = N.Tensor([[2.0, 2.0, 1.0]], requires_grad=True)
         N.reduce_max(x, axis=1).sum().backward()
         assert np.array_equal(x.grad, [[1.0, 0.0, 0.0]])
+
+    def test_segment_max_values_and_first_argmax_ties(self):
+        x = N.Tensor([[1.0, 5.0], [4.0, 5.0], [4.0, 0.0], [-3.0, -2.0], [2.0, 2.0], [1.0, 2.0]],
+                     requires_grad=True)
+        out = N.segment_max(x, [3, 1, 2], axis=0)
+        assert np.array_equal(out.data, [[4.0, 5.0], [-3.0, -2.0], [2.0, 2.0]])
+        out.sum().backward()
+        assert np.array_equal(x.grad, [[0, 1], [1, 0], [0, 0], [1, 1], [1, 1], [0, 0]])
+
+    def test_segment_mean_matches_reduce_mean_per_run(self):
+        rng = np.random.default_rng(12)
+        x = N.Tensor(rng.normal(size=(9, 2, 3)), requires_grad=True)
+        out = N.segment_mean(x, [4, 1, 4], axis=0)
+        for row, (start, n) in zip(out.data, [(0, 4), (4, 1), (5, 4)]):
+            assert row.tobytes() == N.reduce_mean(N.Tensor(x.data[start:start + n]), 0).data.tobytes()
+        out.sum().backward()
+        assert np.allclose(x.grad[:, 0, 0], [0.25] * 4 + [1.0] + [0.25] * 4)
+
+    @pytest.mark.parametrize("op", [N.segment_max, N.segment_mean])
+    def test_segment_lengths_are_checked(self, op):
+        x = N.Tensor(np.zeros((4, 2)))
+        with pytest.raises(ShapeError):
+            op(x, [1, 2], axis=0)
+        with pytest.raises(EmptyInputError):
+            op(x, [4, 0], axis=0)
 
     def test_reduction_gradients(self):
         rng = np.random.default_rng(11)
