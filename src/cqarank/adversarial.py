@@ -131,25 +131,27 @@ def build_pool(thread: QuestionThread, threads, pool_size: int,
                rng: np.random.Generator) -> CandidatePool:
     """Uniform sample, without replacement, over this question's labeled
     negatives plus every answer of other threads; positives are excluded by
-    construction."""
-    eligible = [
-        PoolAnswer(thread.thread_id, c.answer_id, c.token_ids, "labeled-negative")
-        for c in thread.negatives
+    construction. Indices are drawn over the eligible count, ordered as the
+    thread's own negatives and then the other threads' answers in thread
+    order; only the picked answers become `PoolAnswer`s."""
+    sources = [(thread.thread_id, thread.negatives, "labeled-negative")] + [
+        (other.thread_id, other.candidates, "other-thread")
+        for other in threads if other.thread_id != thread.thread_id
     ]
-    for other in threads:
-        if other.thread_id == thread.thread_id:
-            continue
-        eligible.extend(
-            PoolAnswer(other.thread_id, c.answer_id, c.token_ids, "other-thread")
-            for c in other.candidates
-        )
-    if not eligible:
+    ends = np.cumsum([len(candidates) for _, candidates, _ in sources])
+    total = int(ends[-1])
+    if total == 0:
         raise CorpusError(
             f"no eligible negatives for thread {thread.thread_id!r} anywhere in the corpus"
         )
-    take = min(pool_size, len(eligible))
-    idx = rng.choice(len(eligible), size=take, replace=False)
-    return CandidatePool(thread.thread_id, [eligible[i] for i in idx])
+    idx = rng.choice(total, size=min(pool_size, total), replace=False)
+    answers = []
+    for i, k in zip(idx, np.searchsorted(ends, idx, side="right")):
+        # source k holds the indices from ends[k] - len(its candidates) up
+        thread_id, candidates, source = sources[k]
+        c = candidates[i - ends[k] + len(candidates)]
+        answers.append(PoolAnswer(thread_id, c.answer_id, c.token_ids, source))
+    return CandidatePool(thread.thread_id, answers)
 
 
 def generator_distribution(q_tokens, pool: CandidatePool, generator: MatchingModel) -> np.ndarray:

@@ -225,6 +225,16 @@ def _gradcheck_report(seed: int) -> list[tuple[str, float]]:
     check("relu", lambda: (T.relu(r) * rw).sum(), [r])
     check("sigmoid", lambda: (T.sigmoid(r) * rw).sum(), [r])
     check("log_softmax", lambda: (T.log_softmax(r, axis=0) * rw).sum(), [r])
+    # a chunk's broadcast (n, 1, h) + (m, h) under a mask, every sum at least
+    # 0.3 from relu's kink; drawn from a generator of its own
+    rr = np.random.default_rng(seed + 7)
+    ra = T.Tensor(rr.uniform(-0.2, 0.2, size=(3, 1, 4)), requires_grad=True)
+    rb = T.Tensor(np.sign(rr.normal(size=(2, 4))) * rr.uniform(0.5, 1.5, size=(2, 4)),
+                  requires_grad=True)
+    rkeep = rr.random((3, 2, 4)) >= 0.3
+    rmw = T.Tensor(rr.normal(size=(3, 2, 4)))
+    check("add_relu_dropout", lambda: (L.add_relu_dropout(ra, rb, rkeep, 0.3) * rmw).sum(),
+          [ra, rb])
 
     mp = T.Tensor(rng.permutation(np.linspace(1.0, 2.0, 10)).reshape(2, 5),
                   requires_grad=True)

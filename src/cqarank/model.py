@@ -15,6 +15,9 @@ CELL_BUDGET (question position, answer position) cells summed over scale
 pairs, one `match_pair` per chunk and scale pair, one head pass per chunk.
 Dropout draw order: for each answer in group order, one (m, n, hidden) mask
 per scale pair, then its (1, hidden) head mask, as if scored alone.
+Hidden arrays: each chunk and scale pair keeps one (sum n, m, hidden) array
+in the training graph, relu and dropout applied; its backward reads the mask
+from that array's sign (`N.add_relu_dropout`).
 
 The same class serves as discriminator and generator; they differ only in
 their parameter values.
@@ -318,11 +321,13 @@ class MatchingModel:
         two projected sides over a (sum n_j, m, hidden) array, answer-major so
         that each answer's rows are one block, and fc2's bias is added after
         the max-pools, since max_j(z_ij + b2) = max_j z_ij + b2; no pair matrix
-        of width wq+wa is built. Products over answer rows are taken answer by
-        answer (`matmul`'s `rows`), so an answer's result does not depend on
-        its chunk. `q_side` is the pair's entry of `question_sides(hq)`,
-        computed here when not given; `keep` is a train-mode dropout mask
-        shaped like the hidden array."""
+        of width wq+wa is built. The sum, its relu and its dropout are one op
+        that keeps one hidden array: the backward takes its mask from that
+        array's sign. Products over answer rows are taken answer by answer
+        (`matmul`'s `rows`), so an answer's result does not depend on its
+        chunk. `q_side` is the pair's entry of `question_sides(hq)`, computed
+        here when not given; `keep` is a train-mode dropout mask shaped like
+        the hidden array."""
         net = self.pair_nets[pair]
         m, total = xq.shape[1], xa.shape[1]
         if xq.shape[0] + xa.shape[0] != net.fc1.weight.shape[0]:
@@ -333,9 +338,8 @@ class MatchingModel:
         lengths = np.array([total] if lengths is None else lengths, dtype=np.int64)
         q_proj, w_a, b2 = q_side if q_side is not None else self._question_side(xq, pair)
         a_proj = N.matmul(xa.T, w_a, lengths).reshape((total, 1, -1))
-        hidden = N.relu(q_proj + a_proj)  # (sum n_j, m, hidden)
-        if keep is not None:
-            hidden = N.apply_dropout(hidden, keep, self.config.dropout)
+        # (sum n_j, m, hidden)
+        hidden = N.add_relu_dropout(q_proj, a_proj, keep, self.config.dropout)
         z = N.matmul(hidden.reshape((total * m, -1)), net.fc2.weight,
                      lengths * m).reshape((total, m, -1))
         h_q = N.segment_max(z, lengths, axis=0).mean(axis=1)  # max over each answer's positions
@@ -355,8 +359,8 @@ class MatchingModel:
         (J, 2*h_dim*pairs) features. Dropout draws follow group and answer
         order, as if each answer were scored alone: its (m_u, n_v, hidden) mask
         for every scale pair, then its (1, hidden) head mask; a chunk's masks
-        are concatenated and applied with `N.apply_dropout`. A group without
-        answers gets an empty vector."""
+        are concatenated and applied with `N.add_relu_dropout`. A group
+        without answers gets an empty vector."""
         groups = [(q_tokens, list(answers)) for q_tokens, answers in groups]
         if not groups:
             return []
@@ -394,9 +398,9 @@ class MatchingModel:
                                          sides[(u, v)], keep)
                          for (u, v), keep in zip(self.pairs, pair_keep)]
                 each = np.ones(hi - lo, dtype=np.int64)
-                hidden = N.relu(self.agg1(N.concat(feats, axis=1), each))
-                if head_keep is not None:
-                    hidden = N.apply_dropout(hidden, head_keep, self.config.dropout)
+                features = N.matmul(N.concat(feats, axis=1), self.agg1.weight, each)
+                hidden = N.add_relu_dropout(features, self.agg1.bias, head_keep,
+                                            self.config.dropout)
                 vecs.append(self.agg2(hidden, each).reshape((hi - lo,)))
             scores.append(N.concat(vecs, axis=0) if len(vecs) > 1 else vecs[0])
             first += 1 + n

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, EmptyInputError, ShapeError
-from .tensor import Tensor, _make, matmul, row_block_product, segment_lengths
+from .tensor import Tensor, _make, _unbroadcast, matmul, row_block_product, segment_lengths
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -102,18 +102,13 @@ def maxpool1d(x: Tensor, lengths=None) -> Tensor:
 def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: kept values scaled by 1/(1-rate); identity in eval.
 
-    One `rng.random(x.shape)` draw decides which values are kept."""
+    One `rng.random(x.shape)` draw decides which values are kept. The graph
+    holds the boolean mask and one scalar, not a float mask."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
-    return apply_dropout(x, rng.random(x.shape) >= rate, rate)
-
-
-def apply_dropout(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
-    """Inverted dropout under a given boolean mask shaped like x: values
-    where `keep` is false are zeroed, the rest scaled by 1/(1-rate). The
-    graph holds the boolean mask and one scalar, not a float mask."""
+    keep = rng.random(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
     data = x.data * keep
     data *= scale
@@ -124,6 +119,33 @@ def apply_dropout(x: Tensor, keep: np.ndarray, rate: float) -> Tensor:
         return (gx,)
 
     return _make(data, (x,), backward)
+
+
+def add_relu_dropout(a: Tensor, b: Tensor, keep: np.ndarray | None = None,
+                     rate: float = 0.0) -> Tensor:
+    """relu(a + b) (broadcast), then inverted dropout under the boolean mask
+    `keep` when one is given: the values of `dropout(relu(a + b))`, bit for
+    bit, from one array instead of three.
+
+    The backward mask is the output's sign: an output is positive exactly
+    where a + b was positive and `keep` held, so the graph keeps the output
+    alone, not the pre-activation or the mask."""
+    data = a.data + b.data
+    np.maximum(data, 0.0, out=data)
+    masked = keep is not None
+    if masked:
+        scale = 1.0 / (1.0 - rate)
+        data *= keep
+        data *= scale
+    a_shape, b_shape = a.shape, b.shape
+
+    def backward(g):
+        gx = g * (data > 0)
+        if masked:
+            gx *= scale
+        return _unbroadcast(gx, a_shape), _unbroadcast(gx, b_shape)
+
+    return _make(data, (a, b), backward)
 
 
 def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = BN_EPS):

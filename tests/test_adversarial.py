@@ -61,6 +61,45 @@ class TestBuildPool:
         with pytest.raises(CorpusError):
             A.build_pool(t, [t], 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("corpus_seed", [0, 1, 2])
+    def test_matches_the_eligible_list_construction(self, corpus_seed):
+        # synthetic threads, a thread with no labeled negatives and a thread
+        # with no answers at all, every pool size from one answer to all
+        threads = synth_generate(6, 5, topics=3, vocab_per_topic=4, seed=corpus_seed).threads
+        threads = threads + [make_thread("allpos", [[4], [5]], []),
+                             QuestionThread("empty", "q", [], "train", [1])]
+        for thread in threads:
+            for pool_size in (1, 3, 7, 1000):
+                for seed in range(3):
+                    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = A.build_pool(thread, threads, pool_size, rng)
+                    assert got == reference_pool(thread, threads, pool_size, ref)
+                    assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_no_eligible_negatives_matches_the_eligible_list_construction(self):
+        threads = [make_thread("t0", [[4]], []), QuestionThread("t1", "q", [], "train", [1])]
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for build in (A.build_pool, reference_pool):
+            with pytest.raises(CorpusError):
+                build(threads[0], threads, 10, rng)
+        assert rng.bit_generator.state == state
+
+
+def reference_pool(thread, threads, pool_size, rng):
+    """Every eligible answer built as a PoolAnswer, then drawn from: the
+    construction `build_pool` must reproduce pick for pick."""
+    eligible = [A.PoolAnswer(thread.thread_id, c.answer_id, c.token_ids, "labeled-negative")
+                for c in thread.negatives]
+    for other in threads:
+        if other.thread_id != thread.thread_id:
+            eligible.extend(A.PoolAnswer(other.thread_id, c.answer_id, c.token_ids,
+                                         "other-thread") for c in other.candidates)
+    if not eligible:
+        raise CorpusError("no eligible negatives")
+    idx = rng.choice(len(eligible), size=min(pool_size, len(eligible)), replace=False)
+    return A.CandidatePool(thread.thread_id, [eligible[i] for i in idx])
+
 
 class StubScorer:
     """Duck-typed stand-in with hand-set pool scores."""

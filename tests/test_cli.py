@@ -427,7 +427,8 @@ class TestGradcheckCommand:
         assert run("gradcheck", "--seed", "0") == 0
         out = capsys.readouterr().out
         for name in ("matmul", "conv1d", "batchnorm1d(train)", "relu", "sigmoid",
-                     "log_softmax", "maxpool1d", "reduce_mean", "reduce_max", "concat",
+                     "log_softmax", "add_relu_dropout", "maxpool1d", "reduce_mean",
+                     "reduce_max", "concat",
                      "embedding_lookup", "conv1d(segments)", "maxpool1d(segments)",
                      "segment_max", "match_pair(train)", "score_groups(train)",
                      "score_multi_scale", "discriminator_loss", "generator_surrogate"):

@@ -264,6 +264,59 @@ class TestDropout:
         assert out.dtype == np.float32
 
 
+class TestAddReluDropout:
+    SHAPES = [((5, 1, 4), (3, 4)), ((6, 4), (4,))]  # a chunk's hidden array; the head
+
+    def inputs(self, shapes, dtype, seed=0):
+        rng = np.random.default_rng(seed)
+        a, b = (N.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes)
+        g = rng.normal(size=np.broadcast_shapes(*shapes)).astype(dtype)
+        return a, b, g
+
+    def run(self, op, shapes, dtype):
+        """op's output and both input gradients under the weights g, as bytes."""
+        a, b, g = self.inputs(shapes, dtype)
+        out = op(a, b)
+        (out * N.Tensor(g)).sum().backward()
+        return out.data.tobytes(), a.grad.tobytes(), b.grad.tobytes()
+
+    @pytest.mark.parametrize("shapes", SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_bytes_equal_dropout_of_relu_of_sum(self, shapes, dtype, rate):
+        keep = np.random.default_rng(5).random(np.broadcast_shapes(*shapes)) >= rate
+
+        def reference(a, b):
+            return N.dropout(N.relu(a + b), rate, True, np.random.default_rng(5))
+
+        def fused(a, b):
+            return N.add_relu_dropout(a, b, keep if rate else None, rate)
+
+        assert self.run(fused, shapes, dtype) == self.run(reference, shapes, dtype)
+
+    @pytest.mark.parametrize("shapes", SHAPES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_no_grad_bytes_and_no_graph(self, shapes, dtype, rate):
+        a, b, _ = self.inputs(shapes, dtype)
+        keep = np.random.default_rng(5).random(np.broadcast_shapes(*shapes)) >= rate
+        with N.no_grad():
+            out = N.add_relu_dropout(a, b, keep if rate else None, rate)
+            want = N.dropout(N.relu(a + b), rate, True, np.random.default_rng(5))
+        assert out.dtype == dtype
+        assert out.data.tobytes() == want.data.tobytes()
+        assert not out.requires_grad and out._backward is None
+
+    def test_graph_keeps_the_output_alone(self):
+        # neither the pre-activation nor the mask outlives the forward
+        a, b, _ = self.inputs(self.SHAPES[0], np.float64)
+        keep = np.random.default_rng(5).random((5, 3, 4)) >= 0.3
+        out = N.add_relu_dropout(a, b, keep, 0.3)
+        held = [c.cell_contents for c in out._backward.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert len(held) == 1 and held[0] is out.data
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         p = N.Tensor([1.0, -2.0], requires_grad=True)

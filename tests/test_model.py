@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import cqarank.model as model_module
 import cqarank.numerics as N
 from cqarank.data import Vocabulary
+from cqarank.numerics.tensor import _toposort
 from cqarank.errors import ConfigError, EmptyInputError, ParseError, VocabularyError
 from cqarank.model import (
     MatchingModel,
@@ -371,6 +372,23 @@ class TestScoreGroups:
             return graph_size(scores.sum())
 
         assert nodes(5) == nodes(25)
+
+    def test_train_graph_keeps_one_hidden_array_per_pair_and_chunk(self, monkeypatch):
+        # the (sum n, m, hidden) array after relu and dropout is one node, not
+        # the sum, its relu and its dropout; m > 1 at every level sets these
+        # apart from the answer side's (sum n, 1, hidden) projection
+        model = tiny_model(seed=35, dropout=0.3)
+        assert model.config.hidden != model.config.h_dim
+        monkeypatch.setattr(model_module, "CELL_BUDGET", 300)
+        compare, calls = model.match_pair, []
+        monkeypatch.setattr(model, "match_pair", lambda *a: calls.append(a) or compare(*a))
+        groups = self.groups(seed=4, lengths=((8, [6, 9, 5, 7]), (6, [10, 4])))
+        scores = model.score_groups(groups, train=True, rng=np.random.default_rng(10))
+        total = sum(s.sum() for s in scores)
+        hidden = [node for node in _toposort(total) if node.ndim == 3
+                  and node.shape[1] > 1 and node.shape[2] == model.config.hidden]
+        assert len(calls) > len(groups) * len(model.pairs)  # some group takes two chunks
+        assert len(hidden) == len(calls)
 
 
 class TestInvariances:
